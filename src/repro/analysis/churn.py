@@ -119,10 +119,11 @@ def churn_cell(
     family: str,
     label: str,
     traces: Sequence[Tuple[str, ChurnTrace]],
-    cache,
     verify=True,
     flow=None,
     demand_seed: int = 0,
+    *,
+    cache,
 ) -> List[ChurnCellResult]:
     """All churn traces of one (scheme, graph) cell off one cached compile.
 

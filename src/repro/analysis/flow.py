@@ -675,10 +675,10 @@ def flow_cell(
     family: str,
     label: str,
     models: Sequence[str],
-    cache: "ExperimentCache",
-    *,
     demand_seed: int = 0,
     total: float = DEFAULT_TOTAL,
+    *,
+    cache: "ExperimentCache",
 ) -> List[FlowCellResult]:
     """All demand models of one (scheme, graph) cell off one cached compile.
 

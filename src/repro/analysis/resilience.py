@@ -112,9 +112,10 @@ def resilience_cell(
     family: str,
     label: str,
     scenarios: Sequence[Tuple[str, FaultSet]],
-    cache,
     flow=None,
     demand_seed: int = 0,
+    *,
+    cache,
 ) -> List[ResilienceCellResult]:
     """All fault scenarios of one (scheme, graph) cell off one cached compile.
 

@@ -30,15 +30,22 @@ incremental sweep:
   counted in :attr:`ShardStats.degraded`, so a store rotting on disk shows
   up in sweep output instead of silently recomputing forever.
 
-* :class:`ShardedRunner` — fans grid cells over a
-  :class:`concurrent.futures.ProcessPoolExecutor` (``processes <= 1`` runs
-  serially in-process, sharing one cache instance), collects results in
-  deterministic grid order, and reports a :class:`ShardStats` with the
-  cache hit rate — and the compiled-program hit rate — so benchmark output
-  can show how incremental a re-run was.  :meth:`ShardedRunner.program_sweep`
-  is the pure compile-once workload: fetch-or-compile every cell's program,
-  execute it straight off its mmap, cache no results, so a warm re-sweep
-  runs without re-building a single scheme.
+* The **grid driver** — every sweep is one cell function run over the
+  family-major ``(scheme, graph)`` cross-product.  :func:`grid_payloads`
+  builds the cells' ``(scheme, graph, family, label, *extra, cache)``
+  payloads, one generic worker (``_cell_worker``, bound per cell kind with
+  :func:`functools.partial`) runs a cell and returns its outcome plus
+  cache-counter deltas, and :func:`stream_cells` yields
+  ``(payload, outcome)`` pairs in payload order — serially in-process, or
+  through a :class:`concurrent.futures.ProcessPoolExecutor` with
+  ``chunksize=1`` so results stream with bounded delay.
+  :class:`ShardedRunner` collects the stream into result lists plus a
+  :class:`ShardStats` (cache and compiled-program hit rates, summed from
+  the per-cell deltas); the ``repro`` CLI emits the very same stream as
+  JSONL rows.  :meth:`ShardedRunner.program_sweep` is the pure
+  compile-once workload: fetch-or-compile every cell's program, execute it
+  straight off its mmap, cache no results, so a warm re-sweep runs without
+  re-building a single scheme.
 
 Cells whose scheme declines the graph
 (:class:`~repro.routing.model.SchemeInapplicableError` from ``build``) are
@@ -50,6 +57,7 @@ restriction.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import pickle
@@ -58,25 +66,21 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.model import RoutingFunction, SchemeInapplicableError
-from repro.routing.program import (
-    GenericProgram,
-    HeaderStateExplosionError,
-    RoutingProgram,
-    program_from_bytes,
-)
-from repro.routing.verify import (
-    ProgramVerificationError,
-    VerificationReport,
-    verify_program,
-)
+from repro.routing.program import GenericProgram, HeaderStateExplosionError, RoutingProgram
+from repro.routing.verify import verify_program
 from repro.store import ProgramStore
+from repro.analysis.churn import churn_cell
+from repro.analysis.flow import DEFAULT_TOTAL, DEMAND_MODELS, flow_cell
+from repro.analysis.resilience import resilience_cell
+from repro.sim.churn import churn_scenarios
+from repro.sim.registry import fault_scenarios, graph_families, scheme_registry
 from repro.analysis.table1 import (
     SchemeMeasurement,
     Table1Row,
@@ -94,8 +98,10 @@ __all__ = [
     "VerifyCellResult",
     "cached_distance_matrix",
     "cached_program",
+    "grid_payloads",
     "measure_cell",
     "scheme_fingerprint",
+    "stream_cells",
 ]
 
 #: Version tag baked into every cache key; bump on any change to what a
@@ -203,6 +209,14 @@ class ShardStats:
     def compile_hit_rate(self) -> float:
         """Fraction of program lookups served from cached bytes (0.0 when none ran)."""
         return self.compile_hits / self.compile_lookups if self.compile_lookups else 0.0
+
+    def absorb(self, outcome: tuple) -> None:
+        """Add one cell outcome's cache-counter deltas (see ``_run_cell``)."""
+        self.hits += outcome[2]
+        self.misses += outcome[3]
+        self.compile_hits += outcome[4]
+        self.compile_misses += outcome[5]
+        self.degraded += outcome[6]
 
     def describe(self) -> str:
         """One-line summary for benchmark output."""
@@ -425,12 +439,11 @@ class ExperimentCache:
         The value is a live :class:`~repro.routing.program.RoutingProgram`
         (mmap-backed when it came from disk) or the ``("inapplicable",
         reason)`` verdict tuple of a scheme whose build refused the graph.
-        Lookup order: this process's memory, the content-addressed
+        Lookup order: this process's memory, then the content-addressed
         :class:`~repro.store.ProgramStore` (manifest lookup → mmapped
-        object, O(1)), then the legacy pickle store — which still holds
-        pre-store verdict tuples and any pre-mmap cached bytes.
-        Corruption at any layer warns, counts as a degraded entry, and
-        degrades to a miss (callers recompile and overwrite).
+        object, O(1)) — the only on-disk program cache.  Corruption warns,
+        counts as a degraded entry, and degrades to a miss (callers
+        recompile and overwrite).
 
         ``verify=True`` adds two gates on anything that came from *disk*:
         the mapped bytes must re-hash to the object's content address, and
@@ -452,26 +465,7 @@ class ExperimentCache:
             if found:
                 self._memory[key] = entry
                 return True, entry
-        if self.root is None:
-            return False, None
-        found, blob = self.load(key)
-        if not found:
-            return False, None
-        if isinstance(blob, tuple):
-            return True, blob
-        try:
-            program = program_from_bytes(blob)
-        except (ValueError, TypeError) as exc:
-            self._note_degraded(self._path(key), exc)
-            return False, None
-        if verify and not isinstance(program, GenericProgram):
-            try:
-                verify_program(program, strict=True)
-            except ProgramVerificationError:
-                self._memory.pop(key, None)
-                return False, None
-        self._memory[key] = program
-        return True, program
+        return False, None
 
     def store_program_entry(
         self,
@@ -570,9 +564,7 @@ def _cached_program_with_rf(
             # refuses to build.
             if cache.program_store is not None:
                 cache.program_store.put_verdict(key, str(exc), graph_fp, scheme_fp)
-                cache._memory[key] = ("inapplicable", str(exc))
-            else:
-                cache.store(key, ("inapplicable", str(exc)))
+            cache._memory[key] = ("inapplicable", str(exc))
             raise SchemeInapplicableError(str(exc)) from exc
     try:
         program = rf.compile_program()
@@ -764,7 +756,7 @@ def _verify_cell(
 
 
 # ----------------------------------------------------------------------
-# process-pool workers (top level: payloads must pickle)
+# the grid driver (top level: pooled payloads and workers must pickle)
 # ----------------------------------------------------------------------
 #: One cache instance per (worker process, directory): cells executed by
 #: the same worker share unpickled artefacts in memory instead of
@@ -772,22 +764,30 @@ def _verify_cell(
 _WORKER_CACHES: Dict[str, ExperimentCache] = {}
 
 
-def _worker_cache(cache_dir: Optional[str]) -> ExperimentCache:
-    if cache_dir is None:
-        return ExperimentCache(None)
-    cache = _WORKER_CACHES.get(cache_dir)
-    if cache is None:
-        cache = _WORKER_CACHES.setdefault(cache_dir, ExperimentCache(cache_dir))
-    return cache
+def _worker_cache(cache) -> ExperimentCache:
+    """The cache a payload names: an instance itself, or a directory's.
+
+    Serial runs hand cells their :class:`ExperimentCache` directly; pooled
+    payloads carry the cache *directory* (a string pickles, a cache full
+    of mmapped programs does not), resolved to one instance per worker
+    process and directory.
+    """
+    if isinstance(cache, ExperimentCache):
+        return cache
+    worker_cache = _WORKER_CACHES.get(cache)
+    if worker_cache is None:
+        worker_cache = _WORKER_CACHES.setdefault(cache, ExperimentCache(cache))
+    return worker_cache
 
 
 def _run_cell(cache: ExperimentCache, body) -> tuple:
     """Run one cell body, returning its outcome plus cache-counter deltas.
 
-    The common frame of every worker: outcomes are
+    The common frame of every cell: outcomes are
     ``(tag, value, hits, misses, program_hits, program_misses, degraded)``
-    so the pool path can reconstitute :class:`ShardStats` (including the
-    compile hit-rate and corruption count) from per-cell deltas.
+    so any consumer of the stream can reconstitute :class:`ShardStats`
+    (including the compile hit-rate and corruption count) by summing
+    per-cell deltas (:meth:`ShardStats.absorb`).
     """
     before = (
         cache.hits,
@@ -812,97 +812,125 @@ def _run_cell(cache: ExperimentCache, body) -> tuple:
     return (tag, value) + tuple(b - a for b, a in zip(after, before))
 
 
-def _measure_cell_worker(payload):
-    scheme, graph, graph_name, cache_dir = payload
-    cache = _worker_cache(cache_dir)
-    return _run_cell(cache, lambda: measure_cell(scheme, graph, graph_name, cache))
+def _cell_worker(cell: Callable, payload: tuple) -> tuple:
+    """Run ``cell`` on one payload ``(scheme, graph, family, label, *extra, cache)``.
+
+    The one worker of every grid: the payload's leading fields are the
+    cell function's positional arguments, its last field names the cache
+    (:func:`_worker_cache`) passed as ``cache=``, and the result is the
+    :func:`_run_cell` outcome.
+    """
+    *args, cache = payload
+    cache = _worker_cache(cache)
+    return _run_cell(cache, lambda: cell(*args, cache=cache))
 
 
-def _conformance_cell_worker(payload):
-    scheme, graph, family, label, cache_dir = payload
-    cache = _worker_cache(cache_dir)
-    return _run_cell(
-        cache, lambda: _conformance_cell(scheme, graph, family, label, cache)
-    )
+def _table1_cell(scheme, graph: PortLabeledGraph, family: str, label: str, cache):
+    """:func:`measure_cell` in the uniform cell signature (``label`` unused)."""
+    return measure_cell(scheme, graph, family, cache)
 
 
-def _compile_cell_worker(payload):
-    scheme, graph, family, label, cache_dir = payload
-    cache = _worker_cache(cache_dir)
-    return _run_cell(cache, lambda: _compile_cell(scheme, graph, family, label, cache))
+# Per-kind workers stay module attributes, looked up at call time by
+# ShardedRunner and the CLI alike, so a test can swap one in.
+_measure_cell_worker = functools.partial(_cell_worker, _table1_cell)
+_conformance_cell_worker = functools.partial(_cell_worker, _conformance_cell)
+_compile_cell_worker = functools.partial(_cell_worker, _compile_cell)
+_program_cell_worker = functools.partial(_cell_worker, _program_cell)
+_verify_cell_worker = functools.partial(_cell_worker, _verify_cell)
+_resilience_cell_worker = functools.partial(_cell_worker, resilience_cell)
+_churn_cell_worker = functools.partial(_cell_worker, churn_cell)
+_flow_cell_worker = functools.partial(_cell_worker, flow_cell)
 
 
-def _program_cell_worker(payload):
-    scheme, graph, family, label, cache_dir = payload
-    cache = _worker_cache(cache_dir)
-    return _run_cell(cache, lambda: _program_cell(scheme, graph, family, label, cache))
+def _no_extra(family: str) -> tuple:
+    return ()
 
 
-def _verify_cell_worker(payload):
-    scheme, graph, family, label, cache_dir = payload
-    cache = _worker_cache(cache_dir)
-    return _run_cell(cache, lambda: _verify_cell(scheme, graph, family, label, cache))
+def grid_payloads(
+    schemes: Iterable[Tuple[str, object]],
+    families: Iterable[Tuple[str, PortLabeledGraph]],
+    cache,
+    extra: Callable[[str], tuple] = _no_extra,
+) -> List[tuple]:
+    """Family-major cell payloads ``(scheme, graph, family, label, *extra(family), cache)``.
+
+    ``schemes`` and ``families`` are ``(name, object)`` pairs (a dict's
+    ``items()``); ``extra`` supplies a cell kind's per-family arguments
+    (fault scenarios, churn traces, demand models); ``cache`` is what every
+    cell runs against — an :class:`ExperimentCache` in-process, its
+    directory for a pool (see :func:`_worker_cache`).
+    """
+    schemes = list(schemes)
+    return [
+        (scheme, graph, family, label) + extra(family) + (cache,)
+        for family, graph in families
+        for label, scheme in schemes
+    ]
 
 
-def _resilience_cell_worker(payload):
-    scheme, graph, family, label, scenarios, flow, demand_seed, cache_dir = payload
-    from repro.analysis.resilience import resilience_cell
+def stream_cells(
+    worker: Callable[[tuple], tuple], payloads: Sequence[tuple], processes: int = 1
+) -> Iterator[Tuple[tuple, tuple]]:
+    """Yield ``(payload, outcome)`` for every cell, in payload order.
 
-    cache = _worker_cache(cache_dir)
-    return _run_cell(
-        cache,
-        lambda: resilience_cell(
-            scheme,
-            graph,
-            family,
-            label,
-            scenarios,
-            cache,
-            flow=flow,
-            demand_seed=demand_seed,
-        ),
-    )
-
-
-def _churn_cell_worker(payload):
-    scheme, graph, family, label, traces, verify, flow, demand_seed, cache_dir = payload
-    from repro.analysis.churn import churn_cell
-
-    cache = _worker_cache(cache_dir)
-    return _run_cell(
-        cache,
-        lambda: churn_cell(
-            scheme,
-            graph,
-            family,
-            label,
-            traces,
-            cache,
-            verify=verify,
-            flow=flow,
-            demand_seed=demand_seed,
-        ),
-    )
+    The one loop that runs grid cells, for :class:`ShardedRunner` and the
+    ``repro`` CLI alike.  ``processes <= 1`` (or a single cell) calls
+    ``worker`` in-process; otherwise a process pool maps it with
+    ``chunksize=1``, so a finished cell is never held back behind an
+    unfinished chunk-mate and every outcome arrives with bounded delay.
+    """
+    if processes <= 1 or len(payloads) <= 1:
+        for payload in payloads:
+            yield payload, worker(payload)
+        return
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        yield from zip(payloads, pool.map(worker, payloads, chunksize=1))
 
 
-def _flow_cell_worker(payload):
-    scheme, graph, family, label, models, demand_seed, total, cache_dir = payload
-    from repro.analysis.flow import flow_cell
+def _registry_grid(schemes, families, size: str, seed: int):
+    """``(schemes, families)``, each defaulting to its registry."""
+    if schemes is None:
+        schemes = scheme_registry(seed=seed)
+    if families is None:
+        families = graph_families(size=size, seed=seed)
+    return schemes, families
 
-    cache = _worker_cache(cache_dir)
-    return _run_cell(
-        cache,
-        lambda: flow_cell(
-            scheme,
-            graph,
-            family,
-            label,
-            models,
-            cache,
-            demand_seed=demand_seed,
-            total=total,
-        ),
-    )
+
+def _table_schemes(registry: Dict[str, object]) -> Dict[str, object]:
+    """The shortest-path table subset of a scheme registry: the churn default.
+
+    These are the programs the delta compiler patches in place; any other
+    scheme would recompile at every churn step.
+    """
+    return {name: scheme for name, scheme in registry.items() if name.startswith("tables-")}
+
+
+def _fault_scenario_sets(
+    families: Dict[str, PortLabeledGraph],
+    seed: int,
+    edge_ks: Sequence[int],
+    node_ks: Sequence[int],
+    per_k: int,
+) -> Dict[str, tuple]:
+    """Each family's seeded fault scenarios (:func:`repro.sim.registry.fault_scenarios`)."""
+    return {
+        name: tuple(
+            fault_scenarios(graph, seed=seed, edge_ks=edge_ks, node_ks=node_ks, per_k=per_k)
+        )
+        for name, graph in families.items()
+    }
+
+
+def _churn_trace_sets(
+    families: Dict[str, PortLabeledGraph], seed: int, steps: int, flips_per_step: int
+) -> Dict[str, tuple]:
+    """Each family's seeded churn traces (:func:`repro.sim.churn.churn_scenarios`)."""
+    return {
+        name: tuple(
+            churn_scenarios(graph, seed=seed, steps=steps, flips_per_step=flips_per_step)
+        )
+        for name, graph in families.items()
+    }
 
 
 class ShardedRunner:
@@ -933,39 +961,35 @@ class ShardedRunner:
         self.cache = ExperimentCache(self.cache_dir)
 
     # ------------------------------------------------------------------
-    def _run(self, worker, payloads: Sequence[tuple], serial) -> Tuple[List[tuple], ShardStats]:
-        """Run cells, preserving payload order; returns outcomes + stats."""
-        stats = ShardStats(processes=1 if len(payloads) <= 1 else self.processes)
-        # Without a cache directory, pool workers would share nothing (each
-        # cell would rebuild its distance matrix from scratch); the serial
-        # path's in-process cache deduplicates, so it wins outright there.
-        if self.processes <= 1 or len(payloads) <= 1 or self.cache_dir is None:
-            cache = self.cache
-            before = (
-                cache.hits,
-                cache.misses,
-                cache.program_hits,
-                cache.program_misses,
-                cache.degraded_entries,
-            )
-            outcomes = [serial(payload) for payload in payloads]
-            stats.hits = cache.hits - before[0]
-            stats.misses = cache.misses - before[1]
-            stats.compile_hits = cache.program_hits - before[2]
-            stats.compile_misses = cache.program_misses - before[3]
-            stats.degraded = cache.degraded_entries - before[4]
-            stats.processes = 1
-            return outcomes, stats
-        with ProcessPoolExecutor(max_workers=self.processes) as pool:
-            chunksize = max(1, len(payloads) // (4 * self.processes))
-            outcomes = list(pool.map(worker, payloads, chunksize=chunksize))
-        for outcome in outcomes:
-            stats.hits += outcome[2]
-            stats.misses += outcome[3]
-            stats.compile_hits += outcome[4]
-            stats.compile_misses += outcome[5]
-            stats.degraded += outcome[6]
-        return outcomes, stats
+    def _sweep(self, worker, schemes, families, extra=_no_extra):
+        """Run one grid through :func:`stream_cells`; ``(values, skipped, stats)``.
+
+        ``values`` holds the cell results in payload order, ``skipped`` the
+        ``(label, family)`` of every cell whose scheme declined its graph,
+        and ``stats`` the sum of the cells' counter deltas.  Without a
+        cache directory, pool workers would share nothing (each cell would
+        rebuild its distance matrix from scratch), so such runs — like
+        single-process and single-cell ones — execute every cell
+        in-process against :attr:`cache`, which deduplicates in memory and
+        accrues the lifetime totals of :meth:`stats`.
+        """
+        pooled = (
+            self.processes > 1
+            and self.cache_dir is not None
+            and len(schemes) * len(families) > 1
+        )
+        cache = str(self.cache_dir) if pooled else self.cache
+        stats = ShardStats(processes=self.processes if pooled else 1)
+        payloads = grid_payloads(schemes, families, cache, extra)
+        values: list = []
+        skipped: List[Tuple[str, str]] = []
+        for payload, outcome in stream_cells(worker, payloads, stats.processes):
+            stats.absorb(outcome)
+            if outcome[0] == "ok":
+                values.append(outcome[1])
+            else:
+                skipped.append((payload[3], payload[2]))
+        return values, skipped, stats
 
     # ------------------------------------------------------------------
     def table1_report(
@@ -981,21 +1005,8 @@ class ShardedRunner:
         """
         if schemes is None:
             schemes = _default_schemes()
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        payloads = [
-            (scheme, graph, name, cache_dir)
-            for name, graph in graphs
-            for scheme in schemes
-        ]
-
-        def serial(payload):
-            scheme, graph, name, _ = payload
-            return _run_cell(
-                self.cache, lambda: measure_cell(scheme, graph, name, self.cache)
-            )
-
-        outcomes, stats = self._run(_measure_cell_worker, payloads, serial)
-        measurements = [value for tag, value, *_ in outcomes if tag == "ok"]
+        labelled = [(getattr(scheme, "name", type(scheme).__name__), scheme) for scheme in schemes]
+        measurements, _, stats = self._sweep(_measure_cell_worker, labelled, graphs)
         if reference_n is None:
             reference_n = max((g.n for _, g in graphs), default=0)
         return group_measurements(measurements, reference_n, eps=eps), stats
@@ -1013,37 +1024,26 @@ class ShardedRunner:
         Returns ``(reports, skipped, stats)`` with reports in the serial
         driver's deterministic (family-major) order.
         """
-        from repro.sim.registry import graph_families, scheme_registry
+        schemes, families = _registry_grid(schemes, families, size, seed)
+        return self._sweep(_conformance_cell_worker, schemes.items(), families.items())
 
-        if schemes is None:
-            schemes = scheme_registry(seed=seed)
-        if families is None:
-            families = graph_families(size=size, seed=seed)
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        payloads = [
-            (scheme, graph, family_name, scheme_name, cache_dir)
-            for family_name, graph in families.items()
-            for scheme_name, scheme in schemes.items()
-        ]
+    # ------------------------------------------------------------------
+    def compile_sweep(
+        self,
+        schemes: Optional[Dict[str, object]] = None,
+        families: Optional[Dict[str, PortLabeledGraph]] = None,
+        size: str = "medium",
+        seed: int = 0,
+    ) -> Tuple[List[CompileCellResult], List[Tuple[str, str]], ShardStats]:
+        """Compile every (scheme, family) cell into the store, executing nothing.
 
-        def serial(payload):
-            scheme, graph, family_name, scheme_name, _ = payload
-            return _run_cell(
-                self.cache,
-                lambda: _conformance_cell(
-                    scheme, graph, family_name, scheme_name, self.cache
-                ),
-            )
-
-        outcomes, stats = self._run(_conformance_cell_worker, payloads, serial)
-        reports = []
-        skipped: List[Tuple[str, str]] = []
-        for payload, (tag, value, *_) in zip(payloads, outcomes):
-            if tag == "ok":
-                reports.append(value)
-            else:
-                skipped.append((payload[3], payload[2]))
-        return reports, skipped, stats
+        The API twin of ``repro compile``: each cell fetches or compiles
+        its program and reports the program's content address.  Returns
+        ``(results, skipped, stats)`` in deterministic family-major order,
+        skips mirroring :meth:`conformance_suite`.
+        """
+        schemes, families = _registry_grid(schemes, families, size, seed)
+        return self._sweep(_compile_cell_worker, schemes.items(), families.items())
 
     # ------------------------------------------------------------------
     def program_sweep(
@@ -1064,37 +1064,8 @@ class ShardedRunner:
         Returns ``(results, skipped, stats)`` in deterministic family-major
         order, skips mirroring :meth:`conformance_suite`.
         """
-        from repro.sim.registry import graph_families, scheme_registry
-
-        if schemes is None:
-            schemes = scheme_registry(seed=seed)
-        if families is None:
-            families = graph_families(size=size, seed=seed)
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        payloads = [
-            (scheme, graph, family_name, scheme_name, cache_dir)
-            for family_name, graph in families.items()
-            for scheme_name, scheme in schemes.items()
-        ]
-
-        def serial(payload):
-            scheme, graph, family_name, scheme_name, _ = payload
-            return _run_cell(
-                self.cache,
-                lambda: _program_cell(
-                    scheme, graph, family_name, scheme_name, self.cache
-                ),
-            )
-
-        outcomes, stats = self._run(_program_cell_worker, payloads, serial)
-        results: List[ProgramCellResult] = []
-        skipped: List[Tuple[str, str]] = []
-        for payload, (tag, value, *_) in zip(payloads, outcomes):
-            if tag == "ok":
-                results.append(value)
-            else:
-                skipped.append((payload[3], payload[2]))
-        return results, skipped, stats
+        schemes, families = _registry_grid(schemes, families, size, seed)
+        return self._sweep(_program_cell_worker, schemes.items(), families.items())
 
     # ------------------------------------------------------------------
     def verify_sweep(
@@ -1116,37 +1087,8 @@ class ShardedRunner:
         ``(results, skipped, stats)`` in deterministic family-major order,
         skips mirroring :meth:`conformance_suite`.
         """
-        from repro.sim.registry import graph_families, scheme_registry
-
-        if schemes is None:
-            schemes = scheme_registry(seed=seed)
-        if families is None:
-            families = graph_families(size=size, seed=seed)
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        payloads = [
-            (scheme, graph, family_name, scheme_name, cache_dir)
-            for family_name, graph in families.items()
-            for scheme_name, scheme in schemes.items()
-        ]
-
-        def serial(payload):
-            scheme, graph, family_name, scheme_name, _ = payload
-            return _run_cell(
-                self.cache,
-                lambda: _verify_cell(
-                    scheme, graph, family_name, scheme_name, self.cache
-                ),
-            )
-
-        outcomes, stats = self._run(_verify_cell_worker, payloads, serial)
-        results: List[VerifyCellResult] = []
-        skipped: List[Tuple[str, str]] = []
-        for payload, (tag, value, *_) in zip(payloads, outcomes):
-            if tag == "ok":
-                results.append(value)
-            else:
-                skipped.append((payload[3], payload[2]))
-        return results, skipped, stats
+        schemes, families = _registry_grid(schemes, families, size, seed)
+        return self._sweep(_verify_cell_worker, schemes.items(), families.items())
 
     # ------------------------------------------------------------------
     def resilience_sweep(
@@ -1180,62 +1122,16 @@ class ShardedRunner:
         ``(cells, skipped, stats)`` with cells in deterministic
         family-major, scenario order.
         """
-        from repro.sim.registry import fault_scenarios, graph_families, scheme_registry
-
-        if schemes is None:
-            schemes = scheme_registry(seed=seed)
-        if families is None:
-            families = graph_families(size=size, seed=seed)
+        schemes, families = _registry_grid(schemes, families, size, seed)
         if scenarios is None:
-            scenarios = {
-                name: fault_scenarios(
-                    graph, seed=seed, edge_ks=edge_ks, node_ks=node_ks, per_k=per_k
-                )
-                for name, graph in families.items()
-            }
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        payloads = [
-            (
-                scheme,
-                graph,
-                family_name,
-                scheme_name,
-                tuple(scenarios[family_name]),
-                flow,
-                demand_seed,
-                cache_dir,
-            )
-            for family_name, graph in families.items()
-            for scheme_name, scheme in schemes.items()
-        ]
-
-        def serial(payload):
-            from repro.analysis.resilience import resilience_cell
-
-            scheme, graph, family_name, scheme_name, cell_scenarios, *_ = payload
-            return _run_cell(
-                self.cache,
-                lambda: resilience_cell(
-                    scheme,
-                    graph,
-                    family_name,
-                    scheme_name,
-                    cell_scenarios,
-                    self.cache,
-                    flow=flow,
-                    demand_seed=demand_seed,
-                ),
-            )
-
-        outcomes, stats = self._run(_resilience_cell_worker, payloads, serial)
-        cells = []
-        skipped: List[Tuple[str, str]] = []
-        for payload, (tag, value, *_) in zip(payloads, outcomes):
-            if tag == "ok":
-                cells.extend(value)
-            else:
-                skipped.append((payload[3], payload[2]))
-        return cells, skipped, stats
+            scenarios = _fault_scenario_sets(families, seed, edge_ks, node_ks, per_k)
+        cells, skipped, stats = self._sweep(
+            _resilience_cell_worker,
+            schemes.items(),
+            families.items(),
+            lambda family: (tuple(scenarios[family]), flow, demand_seed),
+        )
+        return [row for rows in cells for row in rows], skipped, stats
 
     # ------------------------------------------------------------------
     def churn_sweep(
@@ -1263,75 +1159,22 @@ class ShardedRunner:
         — one compile, many deltas — storing each patched program back
         through the ``.rpg`` artifact path under its own snapshot's key.
         ``schemes`` defaults to the shortest-path table subset of the
-        registry (the programs the delta compiler patches in place; any
-        other scheme would recompile at every step).  Returns
-        ``(cells, skipped, stats)`` with per-step
-        :class:`~repro.analysis.churn.ChurnCellResult` rows in
-        deterministic family-major, trace, step order.
+        registry (:func:`_table_schemes`).  Returns ``(cells, skipped, stats)``
+        with per-step :class:`~repro.analysis.churn.ChurnCellResult` rows
+        in deterministic family-major, trace, step order.
         """
-        from repro.sim.churn import churn_scenarios
-        from repro.sim.registry import graph_families, scheme_registry
-
         if schemes is None:
-            schemes = {
-                name: scheme
-                for name, scheme in scheme_registry(seed=seed).items()
-                if name.startswith("tables-")
-            }
-        if families is None:
-            families = graph_families(size=size, seed=seed)
+            schemes = _table_schemes(scheme_registry(seed=seed))
+        schemes, families = _registry_grid(schemes, families, size, seed)
         if traces is None:
-            traces = {
-                name: churn_scenarios(
-                    graph, seed=seed, steps=steps, flips_per_step=flips_per_step
-                )
-                for name, graph in families.items()
-            }
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        payloads = [
-            (
-                scheme,
-                graph,
-                family_name,
-                scheme_name,
-                tuple(traces[family_name]),
-                verify,
-                flow,
-                demand_seed,
-                cache_dir,
-            )
-            for family_name, graph in families.items()
-            for scheme_name, scheme in schemes.items()
-        ]
-
-        def serial(payload):
-            from repro.analysis.churn import churn_cell
-
-            scheme, graph, family_name, scheme_name, cell_traces, cell_verify, *_ = payload
-            return _run_cell(
-                self.cache,
-                lambda: churn_cell(
-                    scheme,
-                    graph,
-                    family_name,
-                    scheme_name,
-                    cell_traces,
-                    self.cache,
-                    verify=cell_verify,
-                    flow=flow,
-                    demand_seed=demand_seed,
-                ),
-            )
-
-        outcomes, stats = self._run(_churn_cell_worker, payloads, serial)
-        cells = []
-        skipped: List[Tuple[str, str]] = []
-        for payload, (tag, value, *_) in zip(payloads, outcomes):
-            if tag == "ok":
-                cells.extend(value)
-            else:
-                skipped.append((payload[3], payload[2]))
-        return cells, skipped, stats
+            traces = _churn_trace_sets(families, seed, steps, flips_per_step)
+        cells, skipped, stats = self._sweep(
+            _churn_cell_worker,
+            schemes.items(),
+            families.items(),
+            lambda family: (tuple(traces[family]), verify, flow, demand_seed),
+        )
+        return [row for rows in cells for row in rows], skipped, stats
 
     # ------------------------------------------------------------------
     def flow_sweep(
@@ -1340,9 +1183,9 @@ class ShardedRunner:
         families: Optional[Dict[str, PortLabeledGraph]] = None,
         size: str = "medium",
         seed: int = 0,
-        models: Sequence[str] = ("uniform", "zipf", "gravity"),
+        models: Sequence[str] = DEMAND_MODELS,
         demand_seed: int = 0,
-        total: float = 1_000_000.0,
+        total: float = DEFAULT_TOTAL,
     ):
         """Traffic fan-out: every registry cell x the demand-skew models.
 
@@ -1356,55 +1199,14 @@ class ShardedRunner:
         reported under ``skipped``.  Returns ``(cells, skipped, stats)``
         with cells in deterministic family-major, demand-model order.
         """
-        from repro.sim.registry import graph_families, scheme_registry
-
-        if schemes is None:
-            schemes = scheme_registry(seed=seed)
-        if families is None:
-            families = graph_families(size=size, seed=seed)
-        cache_dir = str(self.cache_dir) if self.cache_dir is not None else None
-        payloads = [
-            (
-                scheme,
-                graph,
-                family_name,
-                scheme_name,
-                tuple(models),
-                demand_seed,
-                total,
-                cache_dir,
-            )
-            for family_name, graph in families.items()
-            for scheme_name, scheme in schemes.items()
-        ]
-
-        def serial(payload):
-            from repro.analysis.flow import flow_cell
-
-            scheme, graph, family_name, scheme_name, cell_models, *_ = payload
-            return _run_cell(
-                self.cache,
-                lambda: flow_cell(
-                    scheme,
-                    graph,
-                    family_name,
-                    scheme_name,
-                    cell_models,
-                    self.cache,
-                    demand_seed=demand_seed,
-                    total=total,
-                ),
-            )
-
-        outcomes, stats = self._run(_flow_cell_worker, payloads, serial)
-        cells = []
-        skipped: List[Tuple[str, str]] = []
-        for payload, (tag, value, *_) in zip(payloads, outcomes):
-            if tag == "ok":
-                cells.extend(value)
-            else:
-                skipped.append((payload[3], payload[2]))
-        return cells, skipped, stats
+        schemes, families = _registry_grid(schemes, families, size, seed)
+        cells, skipped, stats = self._sweep(
+            _flow_cell_worker,
+            schemes.items(),
+            families.items(),
+            lambda family: (tuple(models), demand_seed, total),
+        )
+        return [row for rows in cells for row in rows], skipped, stats
 
     # ------------------------------------------------------------------
     def cached_row(self, kind: str, scheme, graph: PortLabeledGraph, compute):

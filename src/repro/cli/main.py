@@ -1,17 +1,20 @@
 """Argument wiring for the ``repro`` console entry point.
 
-Each sweep subcommand builds the same family-major payload list as its
-:class:`~repro.analysis.runner.ShardedRunner` counterpart and drives the
-*same* top-level cell workers — serially in-process for ``--jobs 1``,
-through a :class:`~concurrent.futures.ProcessPoolExecutor` with
-``chunksize=1`` otherwise — so CLI rows are field-for-field the Python
+Each sweep subcommand resolves its registries and options, then runs the
+grid through the same driver as its
+:class:`~repro.analysis.runner.ShardedRunner` counterpart —
+:func:`~repro.analysis.runner.grid_payloads` feeding
+:func:`~repro.analysis.runner.stream_cells` with the same per-kind cell
+worker, serially in-process for ``--jobs 1`` and through a process pool
+with ``chunksize=1`` otherwise — so CLI rows are field-for-field the Python
 API's results, just streamed as they complete instead of returned at the
-end.  All caching goes through one :class:`~repro.analysis.runner.\
-ExperimentCache` rooted at the resolved store directory, which makes every
-invocation share the content-addressed program store.
+end.  All caching goes through the
+:class:`~repro.analysis.runner.ExperimentCache` of the resolved store
+directory, which makes every invocation share the content-addressed
+program store.
 
 Exit codes: ``0`` success, ``1`` a ``--check`` found failing cells,
-``2`` invalid usage (unknown scheme/family/flag).
+``2`` invalid usage (unknown scheme/family, ``--jobs`` below 1).
 """
 
 from __future__ import annotations
@@ -20,19 +23,18 @@ import argparse
 import dataclasses
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.analysis import runner
+from repro.analysis.flow import DEFAULT_TOTAL, DEMAND_MODELS
 from repro.cli._output import emit, emit_error
+from repro.sim.registry import resolve_families, resolve_schemes
 from repro.store import ProgramStore, default_store_root
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-#: Demand models flow/resilience accept (see repro.analysis.flow.demand_matrix).
-DEMAND_MODELS = ("uniform", "zipf", "gravity")
 
 
 def _add_store_flag(parser: argparse.ArgumentParser) -> None:
@@ -149,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--demand-seed", type=int, default=0, help="demand-draw seed")
     p.add_argument(
-        "--total", type=float, default=1_000_000.0,
+        "--total", type=float, default=DEFAULT_TOTAL,
         help="total offered traffic per demand matrix (default: 1e6)",
     )
 
@@ -179,67 +181,10 @@ def _store_root(args: argparse.Namespace) -> Path:
 def _registries(
     args: argparse.Namespace,
 ) -> Tuple[Dict[str, object], Dict[str, object]]:
-    from repro.sim.registry import resolve_families, resolve_schemes
-
+    """The selected schemes and families; unknown names raise :class:`KeyError`."""
     schemes = resolve_schemes(args.scheme, seed=args.seed)
     families = resolve_families(args.family, size=args.registry, seed=args.seed)
     return schemes, families
-
-
-def _stream_outcomes(
-    jobs: int, worker: Callable, payloads: Sequence[tuple]
-) -> Iterator[Tuple[tuple, tuple]]:
-    """Yield ``(payload, outcome)`` pairs with bounded per-cell delay.
-
-    The serial path calls the worker in-process (its per-directory cache
-    persists across cells); the pooled path maps with ``chunksize=1`` so a
-    finished cell is never held back behind an unfinished chunk-mate.
-    Order is payload order either way — identical to the runner API.
-    """
-    if jobs <= 1 or len(payloads) <= 1:
-        for payload in payloads:
-            yield payload, worker(payload)
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from zip(payloads, pool.map(worker, payloads, chunksize=1))
-
-
-class _Tally:
-    """Accumulates per-cell stat deltas into one summary row."""
-
-    def __init__(self, command: str, store_root: Path) -> None:
-        self.command = command
-        self.store_root = store_root
-        self.cells = 0
-        self.skipped = 0
-        self.hits = 0
-        self.misses = 0
-        self.compile_hits = 0
-        self.compile_misses = 0
-        self.degraded = 0
-
-    def absorb(self, outcome: tuple) -> None:
-        self.hits += outcome[2]
-        self.misses += outcome[3]
-        self.compile_hits += outcome[4]
-        self.compile_misses += outcome[5]
-        self.degraded += outcome[6]
-
-    def summary(self) -> dict:
-        lookups = self.compile_hits + self.compile_misses
-        return {
-            "event": "summary",
-            "command": self.command,
-            "store": str(self.store_root),
-            "cells": self.cells,
-            "skipped": self.skipped,
-            "hits": self.hits,
-            "misses": self.misses,
-            "compile_hits": self.compile_hits,
-            "compile_misses": self.compile_misses,
-            "compile_hit_rate": (self.compile_hits / lookups) if lookups else 0.0,
-            "degraded": self.degraded,
-        }
 
 
 def _emit_rows(value: object) -> Iterator[dict]:
@@ -251,67 +196,65 @@ def _emit_rows(value: object) -> Iterator[dict]:
         yield dataclasses.asdict(value)
 
 
-def _run_streaming(
-    command: str,
+def _stream(
     args: argparse.Namespace,
-    worker: Callable,
-    payloads: Sequence[tuple],
-    store_root: Path,
-) -> Tuple[int, List[dict]]:
-    """Shared sweep loop: stream rows/skips, then the summary; returns rows."""
-    tally = _Tally(command, store_root)
-    rows: List[dict] = []
-    for payload, outcome in _stream_outcomes(args.jobs, worker, payloads):
-        tally.absorb(outcome)
-        tag, value = outcome[0], outcome[1]
-        if tag == "skip":
-            tally.skipped += 1
-            emit(
-                {
-                    "event": "skip",
-                    "scheme": payload[3],
-                    "family": payload[2],
-                    "reason": value,
-                }
-            )
-            continue
-        for row in _emit_rows(value):
-            tally.cells += 1
-            rows.append(row)
-            emit(row)
-    emit(tally.summary())
-    return EXIT_OK, rows
-
-
-def _cell_payloads(
+    worker_name: str,
     schemes: Dict[str, object],
     families: Dict[str, object],
-    store_root: Path,
-    extra: Callable[[str], tuple] = lambda family: (),
-) -> List[tuple]:
-    """Family-major ``(scheme, graph, family, label, *extra, cache_dir)`` list."""
-    return [
-        (scheme, graph, family, label) + extra(family) + (str(store_root),)
-        for family, graph in families.items()
-        for label, scheme in schemes.items()
-    ]
+    extra: Callable[[str], tuple] = runner._no_extra,
+) -> List[dict]:
+    """Stream one grid's rows and skips, then its summary; returns the rows.
+
+    The worker is looked up by name at call time, so a swapped module
+    attribute of :mod:`repro.analysis.runner` takes effect.
+    """
+    store_root = _store_root(args)
+    payloads = runner.grid_payloads(schemes.items(), families.items(), str(store_root), extra)
+    stats = runner.ShardStats()
+    rows: List[dict] = []
+    skipped = 0
+    for payload, outcome in runner.stream_cells(
+        getattr(runner, worker_name), payloads, args.jobs
+    ):
+        stats.absorb(outcome)
+        tag, value = outcome[0], outcome[1]
+        if tag == "skip":
+            skipped += 1
+            emit({"event": "skip", "scheme": payload[3], "family": payload[2], "reason": value})
+            continue
+        for row in _emit_rows(value):
+            rows.append(row)
+            emit(row)
+    emit(
+        {
+            "event": "summary",
+            "command": args.command,
+            "store": str(store_root),
+            "cells": len(rows),
+            "skipped": skipped,
+            "hits": stats.hits,
+            "misses": stats.misses,
+            "compile_hits": stats.compile_hits,
+            "compile_misses": stats.compile_misses,
+            "compile_hit_rate": stats.compile_hit_rate,
+            "degraded": stats.degraded,
+        }
+    )
+    return rows
 
 
 # ---------------------------------------------------------------------------
-def _cmd_simple_sweep(command: str, args: argparse.Namespace) -> int:
-    from repro.analysis import runner as runner_mod
+_GRID_WORKERS = {
+    "compile": "_compile_cell_worker",
+    "sweep": "_program_cell_worker",
+    "simulate": "_conformance_cell_worker",
+    "verify": "_verify_cell_worker",
+}
 
-    worker = {
-        "compile": runner_mod._compile_cell_worker,
-        "sweep": runner_mod._program_cell_worker,
-        "simulate": runner_mod._conformance_cell_worker,
-        "verify": runner_mod._verify_cell_worker,
-    }[command]
-    store_root = _store_root(args)
-    schemes, families = _registries(args)
-    payloads = _cell_payloads(schemes, families, store_root)
-    code, rows = _run_streaming(command, args, worker, payloads, store_root)
-    if command == "verify" and getattr(args, "check", False):
+
+def _cmd_grid(args: argparse.Namespace, schemes, families) -> int:
+    rows = _stream(args, _GRID_WORKERS[args.command], schemes, families)
+    if args.command == "verify" and args.check:
         failing = [
             row
             for row in rows
@@ -319,90 +262,63 @@ def _cmd_simple_sweep(command: str, args: argparse.Namespace) -> int:
         ]
         if failing:
             return EXIT_CHECK_FAILED
-    return code
+    return EXIT_OK
 
 
-def _cmd_resilience(args: argparse.Namespace) -> int:
-    from repro.analysis.runner import _resilience_cell_worker
-    from repro.sim.registry import fault_scenarios
-
-    store_root = _store_root(args)
-    schemes, families = _registries(args)
-    edge_ks = tuple(args.edge_k) if args.edge_k else (1, 2, 4)
-    node_ks = tuple(args.node_k) if args.node_k else (1, 2)
-    scenarios = {
-        family: tuple(
-            fault_scenarios(
-                graph, seed=args.seed, edge_ks=edge_ks, node_ks=node_ks, per_k=args.per_k
-            )
-        )
-        for family, graph in families.items()
-    }
-    payloads = _cell_payloads(
+def _cmd_resilience(args: argparse.Namespace, schemes, families) -> int:
+    scenarios = runner._fault_scenario_sets(
+        families,
+        args.seed,
+        edge_ks=tuple(args.edge_k) if args.edge_k else (1, 2, 4),
+        node_ks=tuple(args.node_k) if args.node_k else (1, 2),
+        per_k=args.per_k,
+    )
+    _stream(
+        args,
+        "_resilience_cell_worker",
         schemes,
         families,
-        store_root,
-        extra=lambda family: (scenarios[family], args.flow, args.demand_seed),
+        lambda family: (scenarios[family], args.flow, args.demand_seed),
     )
-    code, _ = _run_streaming("resilience", args, _resilience_cell_worker, payloads, store_root)
-    return code
+    return EXIT_OK
 
 
-def _cmd_churn(args: argparse.Namespace) -> int:
-    from repro.analysis.runner import _churn_cell_worker
-    from repro.sim.churn import churn_scenarios
-    from repro.sim.registry import resolve_families, resolve_schemes
-
-    store_root = _store_root(args)
+def _cmd_churn(args: argparse.Namespace, schemes, families) -> int:
     if args.scheme is None:
-        schemes = {
-            name: scheme
-            for name, scheme in resolve_schemes(None, seed=args.seed).items()
-            if name.startswith("tables-")
-        }
-    else:
-        schemes = resolve_schemes(args.scheme, seed=args.seed)
-    families = resolve_families(args.family, size=args.registry, seed=args.seed)
-    traces = {
-        family: tuple(
-            churn_scenarios(
-                graph,
-                seed=args.seed,
-                steps=args.steps,
-                flips_per_step=args.flips_per_step,
-            )
-        )
-        for family, graph in families.items()
-    }
-    payloads = _cell_payloads(
+        schemes = runner._table_schemes(schemes)
+    traces = runner._churn_trace_sets(families, args.seed, args.steps, args.flips_per_step)
+    verify = False if args.no_verify else "static"
+    _stream(
+        args,
+        "_churn_cell_worker",
         schemes,
         families,
-        store_root,
-        extra=lambda family: (
-            traces[family],
-            not args.no_verify,
-            args.flow,
-            args.demand_seed,
-        ),
+        lambda family: (traces[family], verify, args.flow, args.demand_seed),
     )
-    code, _ = _run_streaming("churn", args, _churn_cell_worker, payloads, store_root)
-    return code
+    return EXIT_OK
 
 
-def _cmd_flow(args: argparse.Namespace) -> int:
-    from repro.analysis.runner import _flow_cell_worker
-
-    store_root = _store_root(args)
-    schemes, families = _registries(args)
+def _cmd_flow(args: argparse.Namespace, schemes, families) -> int:
     models = tuple(args.model) if args.model else DEMAND_MODELS
-    payloads = _cell_payloads(
+    _stream(
+        args,
+        "_flow_cell_worker",
         schemes,
         families,
-        store_root,
-        extra=lambda family: (models, args.demand_seed, args.total),
+        lambda family: (models, args.demand_seed, args.total),
     )
-    code, _ = _run_streaming("flow", args, _flow_cell_worker, payloads, store_root)
-    return code
+    return EXIT_OK
+
+
+_SWEEPS = {
+    "compile": _cmd_grid,
+    "sweep": _cmd_grid,
+    "simulate": _cmd_grid,
+    "verify": _cmd_grid,
+    "resilience": _cmd_resilience,
+    "churn": _cmd_churn,
+    "flow": _cmd_flow,
+}
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
@@ -424,18 +340,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("compile", "sweep", "simulate", "verify"):
-            return _cmd_simple_sweep(args.command, args)
-        if args.command == "resilience":
-            return _cmd_resilience(args)
-        if args.command == "churn":
-            return _cmd_churn(args)
-        if args.command == "flow":
-            return _cmd_flow(args)
-        return _cmd_store(args)
-    except KeyError as exc:
-        emit_error(str(exc.args[0]) if exc.args else str(exc))
-        return EXIT_USAGE
+        if args.command == "store":
+            return _cmd_store(args)
+        if args.jobs < 1:
+            emit_error(f"--jobs must be at least 1, got {args.jobs}")
+            return EXIT_USAGE
+        try:
+            schemes, families = _registries(args)
+        except KeyError as exc:
+            emit_error(str(exc.args[0]) if exc.args else str(exc))
+            return EXIT_USAGE
+        return _SWEEPS[args.command](args, schemes, families)
     except BrokenPipeError:
         # Downstream closed the stream early (`repro ... | head`): that is
         # the consumer's prerogative in a JSONL pipeline, not our failure.

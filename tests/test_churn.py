@@ -405,7 +405,7 @@ def test_patched_programs_roundtrip_rpg_artifacts(tmp_path):
     scheme = ShortestPathTableScheme(tie_break="lowest_port")
     graph = FAMILIES["torus"]
     traces = churn_scenarios(graph, seed=1, steps=3)
-    rows = churn_cell(scheme, graph, "torus", "tables-lowest-port", traces, cache)
+    rows = churn_cell(scheme, graph, "torus", "tables-lowest-port", traces, cache=cache)
     assert rows and all(r.outcome_equal for r in rows)
 
     scheme_fp = scheme_fingerprint(scheme)
@@ -482,5 +482,5 @@ def test_churn_cell_rejects_foreign_trace():
     traces = churn_scenarios(FAMILIES["grid"], seed=0, steps=1)
     with pytest.raises(ValueError, match="not generated over"):
         churn_cell(
-            scheme, FAMILIES["torus"], "torus", "t", traces, ExperimentCache(None)
+            scheme, FAMILIES["torus"], "torus", "t", traces, cache=ExperimentCache(None)
         )

@@ -5,14 +5,16 @@ The contract under test, per docs/cli.md:
 * **Stream shape** — every stdout line is one JSON object; data rows carry
   the subcommand's result-dataclass fields and no ``"event"`` key; skip
   rows and exactly one trailing summary row carry one.
-* **Parity** — CLI rows are field-for-field equal to the corresponding
-  :class:`~repro.analysis.runner.ShardedRunner` sweep because both drive
-  the same cell workers over the same family-major payloads.
+* **Parity** — every sweep subcommand's rows, skips and cache counters
+  equal the corresponding :class:`~repro.analysis.runner.ShardedRunner`
+  sweep's, serial and pooled, because both run the same cell workers over
+  the same family-major payloads through one driver.
 * **Store reuse** — a second sweep against the same ``--store`` is warm:
   ``compile_hit_rate >= 0.95`` (the PR's acceptance bar).
 * **Exit codes** — 0 success, 1 ``verify --check`` failure, 2 usage
-  errors (unknown scheme/family), with the diagnostic on stderr so stdout
-  stays JSONL-pure.
+  errors (unknown scheme/family, ``--jobs`` below 1), with the diagnostic
+  on stderr so stdout stays JSONL-pure; an exception inside a cell is a
+  bug and propagates instead.
 
 Every flag documented in docs/cli.md is exercised somewhere in this file
 (``tests/test_docs.py`` meta-checks that claim).
@@ -30,6 +32,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.runner import ShardedRunner, VerifyCellResult
+from repro.cli._output import jsonable
 from repro.cli.main import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
@@ -97,22 +100,69 @@ def test_partial_schemes_stream_skip_rows(tmp_path, capsys):
 # ----------------------------------------------------------------------
 # parity with the Python API
 # ----------------------------------------------------------------------
-def test_sweep_rows_field_equal_to_sharded_runner(tmp_path, capsys):
-    wanted_schemes = ["tables-lowest-port", "landmark-rewriting"]
+#: CLI subcommand -> (ShardedRunner method, its non-default keyword
+#: arguments).  Every other option runs at its default on both sides, so
+#: the CLI's defaults are checked against the API's too.
+PARITY = {
+    "compile": ("compile_sweep", {}),
+    "sweep": ("program_sweep", {}),
+    "simulate": ("conformance_suite", {}),
+    "verify": ("verify_sweep", {}),
+    "resilience": ("resilience_sweep", {}),
+    "churn": ("churn_sweep", {"verify": "static"}),
+    "flow": ("flow_sweep", {}),
+}
+
+#: Wall-clock fields: the only ones allowed to differ between two runs.
+TIMING_FIELDS = {"delta_seconds"}
+
+
+def _canonical_row(row: dict) -> str:
+    """One data row as sorted JSON (NaN-safe equality), timings dropped."""
+    kept = {key: value for key, value in row.items() if key not in TIMING_FIELDS}
+    return json.dumps(kept, sort_keys=True, default=jsonable)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("command", sorted(PARITY))
+def test_cli_rows_field_equal_to_sharded_runner(tmp_path, capsys, command, jobs):
+    # ecube refuses cycle and petersen, so every command has skip rows too.
+    wanted_schemes = ["tables-lowest-port", "landmark-rewriting", "ecube"]
     code, data, meta, _ = _run(
         capsys,
-        ["sweep", "--store", str(tmp_path / "cli")]
+        [command, "--store", str(tmp_path / "cli"), "--jobs", str(jobs)]
         + FAST
         + [flag for name in wanted_schemes for flag in ("--scheme", name)],
     )
     assert code == EXIT_OK
-    runner = ShardedRunner(cache_dir=tmp_path / "api", processes=1)
-    results, skipped, _ = runner.program_sweep(
+    method, options = PARITY[command]
+    runner = ShardedRunner(cache_dir=tmp_path / "api", processes=jobs)
+    results, skipped, stats = getattr(runner, method)(
         schemes=resolve_schemes(wanted_schemes, seed=0),
         families=resolve_families(["cycle", "petersen"], size="small", seed=0),
+        **options,
     )
-    assert skipped == []
-    assert data == [dataclasses.asdict(result) for result in results]
+    assert data
+    assert [_canonical_row(row) for row in data] == [
+        _canonical_row(dataclasses.asdict(result)) for result in results
+    ]
+    skips = [(m["scheme"], m["family"]) for m in meta if m["event"] == "skip"]
+    assert skips == skipped == [("ecube", "cycle"), ("ecube", "petersen")]
+    summary = meta[-1]
+    assert summary["event"] == "summary"
+    assert (summary["cells"], summary["skipped"]) == (len(data), len(skipped))
+    assert (summary["compile_hits"], summary["compile_misses"], summary["degraded"]) == (
+        stats.compile_hits,
+        stats.compile_misses,
+        stats.degraded,
+    )
+    if jobs == 1:
+        assert (summary["hits"], summary["misses"]) == (stats.hits, stats.misses)
+    else:
+        # Pooled cells of one family race for its shared distance
+        # matrices, so which lookup misses first varies between runs; the
+        # number of lookups does not.
+        assert summary["hits"] + summary["misses"] == stats.hits + stats.misses
 
 
 def test_pooled_jobs_stream_the_same_rows_in_payload_order(tmp_path, capsys):
@@ -260,6 +310,26 @@ def test_churn_flags_and_default_scheme_subset(tmp_path, capsys):
     assert meta[-1]["command"] == "churn"
 
 
+def test_churn_default_check_is_the_static_proof(tmp_path, capsys, monkeypatch):
+    from repro.routing.tables import ShortestPathTableScheme
+
+    store = ["--store", str(tmp_path), "--scheme", "tables-lowest-port"] + FAST
+    code, _, _, _ = _run(capsys, ["compile"] + store)
+    assert code == EXIT_OK
+
+    def no_build(self, graph):
+        raise AssertionError("churn over a primed store must not build a scheme")
+
+    monkeypatch.setattr(ShortestPathTableScheme, "build", no_build)
+    code, data, _, _ = _run(capsys, ["churn"] + store)
+    assert code == EXIT_OK
+    patched = [row for row in data if row["mode"] == "patched"]
+    assert patched
+    for row in patched:
+        assert row["outcome_equal"] is True
+        assert row["recompile_seconds"] is None
+
+
 def test_flow_flags(tmp_path, capsys):
     code, data, _, _ = _run(
         capsys,
@@ -291,6 +361,30 @@ def test_unknown_family_is_a_usage_error(tmp_path, capsys):
     )
     assert code == EXIT_USAGE
     assert "moebius" in err[0]["message"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    code, data, meta, err = _run(
+        capsys, ["sweep", "--store", str(tmp_path), "--jobs", jobs] + FAST
+    )
+    assert code == EXIT_USAGE
+    assert data == [] and meta == []
+    assert len(err) == 1
+    assert err[0]["event"] == "error"
+    assert "--jobs" in err[0]["message"]
+
+
+def test_a_cells_key_error_is_a_bug_not_a_usage_error(tmp_path, capsys, monkeypatch):
+    import repro.analysis.runner as runner_mod
+
+    def broken_cell(payload):
+        raise KeyError("no arc (3, 7)")
+
+    monkeypatch.setattr(runner_mod, "_program_cell_worker", broken_cell)
+    with pytest.raises(KeyError, match="no arc"):
+        main(["sweep", "--store", str(tmp_path)] + FAST)
+    assert capsys.readouterr().err == ""
 
 
 def test_argparse_rejects_unknown_subcommands_with_exit_2():

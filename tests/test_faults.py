@@ -546,9 +546,9 @@ def test_resilience_cells_on_generic_schemes_interpret_the_live_function(tmp_pat
     graph = FAMILIES["grid"].copy()
     cache = ExperimentCache(tmp_path)
     scenarios = _scenarios_for(graph)
-    rows = resilience_cell(_TTLScheme(), graph, "grid", "ttl", scenarios, cache)
+    rows = resilience_cell(_TTLScheme(), graph, "grid", "ttl", scenarios, cache=cache)
     assert len(rows) == len(scenarios)
     assert all(row.mode == "generic-masked" for row in rows)
     # Warm: the cached generic marker still routes through the interpreter.
-    rows2 = resilience_cell(_TTLScheme(), graph, "grid", "ttl", scenarios, cache)
+    rows2 = resilience_cell(_TTLScheme(), graph, "grid", "ttl", scenarios, cache=cache)
     assert rows2 == rows

@@ -498,5 +498,10 @@ def test_flow_cell_declines_generic_schemes(petersen):
 
     with pytest.raises(SchemeInapplicableError):
         flow_cell(
-            OpaqueScheme(), petersen, "petersen", "opaque", ("uniform",), ExperimentCache(None)
+            OpaqueScheme(),
+            petersen,
+            "petersen",
+            "opaque",
+            ("uniform",),
+            cache=ExperimentCache(None),
         )

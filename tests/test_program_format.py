@@ -218,22 +218,10 @@ def test_cache_program_store_round_trips_via_rpg(tmp_path):
     assert not loaded.next_node.flags["OWNDATA"]  # mmap view, not a pickle copy
 
 
-def test_cache_program_store_reads_legacy_pickled_bytes(tmp_path):
-    cache = ExperimentCache(tmp_path)
-    program = _next_hop_program()
-    key = cache.key("program", "legacy-entry")
-    cache.store(key, program.to_bytes(version=1))  # pre-mmap cache layout
-
-    fresh = ExperimentCache(tmp_path)
-    found, loaded = fresh.load_program_entry(key)
-    assert found
-    assert loaded.fingerprint() == program.fingerprint()
-
-
 def test_cache_program_store_keeps_inapplicable_verdicts(tmp_path):
     cache = ExperimentCache(tmp_path)
     key = cache.key("program", "inapplicable")
-    cache.store(key, ("inapplicable", "scheme rejects the family"))
+    cache.program_store.put_verdict(key, "scheme rejects the family")
     found, value = ExperimentCache(tmp_path).load_program_entry(key)
     assert found
     assert value == ("inapplicable", "scheme rejects the family")
