@@ -29,10 +29,11 @@ Two jobs:
   recompiling the table program from scratch, >= 5x for the static
   program verifier against the generic per-message interpreter on the
   n = 1024 hypercube table program (while staying at least as fast as
-  the compact compiled executor on the same artifact), and >= 5x for
-  the layered subtree-sum load accumulator against the per-hop frontier
-  walk on the same n = 1024 hypercube program under uniform demand
-  (plus a warm-cache ``flow_sweep`` smoke over three medium families).
+  the compact compiled executor on the same artifact).  The layered
+  subtree-sum load accumulator has an absolute budget on the same
+  n = 1024 hypercube program under uniform demand, checked by exact
+  conservation identities (plus a warm-cache ``flow_sweep`` smoke over
+  three medium families).
 
 Refresh the snapshot after an intentional perf-relevant change with::
 
@@ -167,8 +168,8 @@ CHURN_FLIP_DIM = 10
 
 #: The traffic workload of the flow-sweep smoke: the full scheme registry
 #: over three medium families crossed with every demand skew.  A warm sweep
-#: executes cached program bytes and spends its time in the subtree/walk
-#: accumulators only.
+#: executes cached program bytes and spends its time in the subtree
+#: accumulator only.
 FLOW_SWEEP_FAMILIES = ("grid", "torus", "random-sparse")
 
 
@@ -768,49 +769,41 @@ def test_verify_speedup_vs_simulate_n1024(benchmark):
 
 
 @pytest.mark.benchmark(group="perf-regression")
-def test_flow_subtree_speedup_vs_walk_n1024(benchmark):
-    # The flow acceptance pin: accumulating a full uniform demand matrix as
-    # layered subtree sums must beat the per-hop frontier walk by at least
-    # 5x on the n = 1024 hypercube table program — one scatter per
-    # (destination, node) state plus a single bincount, against roughly two
-    # scatters per pair-hop (~5 hops average here) plus the bottleneck
-    # replay.  Byte-exact equality of every output array is asserted, so
-    # the speedup never comes at the price of a different answer.
+def test_flow_subtree_n1024(benchmark):
+    # The flow pin: accumulating a full uniform demand matrix as layered
+    # subtree sums on the n = 1024 hypercube table program — one scatter
+    # per (destination, node) state plus a single bincount — stays inside
+    # its absolute budget.  Exact conservation identities stand in for an
+    # oracle at this size: every delivered message crosses exactly its
+    # hop count of arcs, and visits one node more than that.
     prog = _hypercube_ecube_program(CHURN_FLIP_DIM)
     report = verify_program(prog)
     dm = uniform_demand(prog.n)
-    walk, walk_s = _time(route_demand, prog, dm, report=report, path="walk")
 
     def _run():
-        return route_demand(prog, dm, report=report, path="subtree")
+        return route_demand(prog, dm, report=report)
 
-    fast = benchmark.pedantic(_run, rounds=3, iterations=1)
-    # Best-of-rounds, like the other kernel pins: the floor pins the
+    flow = benchmark.pedantic(_run, rounds=3, iterations=1)
+    # Best-of-rounds, like the other kernel pins: the budget pins the
     # accumulator itself, not an OS-scheduling spike on a shared host.
     fast_s = benchmark.stats.stats.min
     _check_budget("flow_subtree_n1024", fast_s)
-    speedup = walk_s / fast_s
     print_rows(
-        "Subtree-sum vs per-hop walk load accumulation (n=1024 hypercube)",
+        "Subtree-sum load accumulation (n=1024 hypercube)",
         [
             {
                 "case": f"dim={CHURN_FLIP_DIM} n={prog.n} demand=uniform",
-                "walk_s": walk_s,
                 "subtree_s": fast_s,
-                "speedup": speedup,
-                "max_congestion": fast.max_congestion,
+                "max_congestion": flow.max_congestion,
             }
         ],
     )
-    assert fast.mode == "subtree" and walk.mode == "walk"
-    assert np.array_equal(fast.edge_load, walk.edge_load)
-    assert np.array_equal(fast.node_load, walk.node_load)
-    assert np.array_equal(fast.path_max_load, walk.path_max_load)
-    assert fast.delivered_demand == walk.delivered_demand
-    floor = 5.0 / SPEEDUP_MARGIN
-    assert speedup >= floor, (
-        f"subtree-sum load accumulation speedup {speedup:.1f}x below the "
-        f"{floor:.1f}x floor against the per-hop walk"
+    assert flow.mode == "subtree" and flow.delivered_fraction == 1.0
+    routed = np.where(flow.delivered, dm.demand, 0.0)
+    assert flow.edge_load.sum() == (routed * flow.lengths).sum()
+    # Node load = load on arcs into the node + one origination visit.
+    assert np.array_equal(
+        flow.node_load, flow.edge_load.sum(axis=0) + routed.sum(axis=1)
     )
 
 
@@ -914,10 +907,8 @@ def _measure_pinned_paths() -> dict:
     flow_prog = _hypercube_ecube_program(CHURN_FLIP_DIM)
     flow_report = verify_program(flow_prog)
     flow_dm = uniform_demand(flow_prog.n)
-    route_demand(flow_prog, flow_dm, report=flow_report, path="subtree")  # warm
-    _, flow_subtree_s = _time(
-        route_demand, flow_prog, flow_dm, report=flow_report, path="subtree"
-    )
+    route_demand(flow_prog, flow_dm, report=flow_report)  # warm
+    _, flow_subtree_s = _time(route_demand, flow_prog, flow_dm, report=flow_report)
     with tempfile.TemporaryDirectory() as sweep_dir:
         runner = ShardedRunner(cache_dir=sweep_dir, processes=1)
         schemes, families = _flow_sweep_grid()

@@ -21,29 +21,30 @@ traffic actually lands:
   — computed analytically from per-pair path bottlenecks instead of
   LRSIM's per-flow loop.
 
-The fast path never walks hops per pair.  A next-hop program's routes
-toward one destination ``d`` form a functional in-tree, and the exact hop
-depth of every (destination, node) state is already known statically
-(:attr:`~repro.routing.verify.VerificationReport.hops`, the same
-pointer-doubling analysis as :func:`~repro.routing.program.functional_hops`).
-Ordering the flat destination-major states by that depth turns load
-accumulation into layer-by-layer **subtree sums**: each layer pushes its
-accumulated demand one hop down the tree with a single ``np.add.at``, and
-one final ``np.bincount`` over arc codes ``u * n + v`` converts the
-per-state subtree sums into arc loads.  Total scatter volume is one write
-per state (``O(n^2)``) instead of one per pair-hop (``O(n^2 * avg hops)``).
+Load accumulation never walks hops per pair.  A compiled program is a
+functional graph on states: ``d * n + c`` with successor
+``d * n + next_node[c, d]`` for a next-hop program (kept implicit, as
+index arithmetic), or the interned ``(node, header)`` states with
+``succ`` / ``node_of`` / ``initial`` for a header-state program; a masked
+view is the same graph with more stops.  Delivered routes are paths to a
+delivering stop, and each state's exact hop depth is known statically:
+the verification report's hop counts
+(:attr:`~repro.routing.verify.VerificationReport.hops`) for next-hop
+programs, the verifier's own stop resolution for header-state programs.
+Ordering the states by that depth turns load accumulation into
+layer-by-layer **subtree sums**: each layer pushes its accumulated demand
+one hop down with a single ``np.add.at``, and one final ``np.bincount``
+over arc codes ``u * n + v`` converts the per-state subtree sums into arc
+loads.  Total scatter volume is one write per state instead of one per
+pair-hop (``O(n^2 * avg hops)``).
 
-The compact frontier walk (the same destination-major frontier discipline
-as the step kernels in :mod:`repro.sim.engine`) remains available as the
-differential fallback, and is the only path for header-state programs and
-fault-masked views, whose delivered pairs are known from the same
-verification report and therefore walk without any sentinel handling.
-
-Both accumulators are **exact** on integer-valued demand (which the
-generators always emit): every partial sum is an integer far below
-``2**53``, so float64 addition is associative here and the subtree sums,
-the frontier walk, and a brute-force per-pair path walk agree byte for
-byte — ``tests/test_flow.py`` pins this differentially.
+The accumulator is **exact** on integer-valued demand (which the
+generators always emit): :func:`route_demand` rejects totals above
+``2**53``, so every subtree sum is an exact float64 integer, and the
+subtree sums and a brute-force per-pair path walk agree byte for byte —
+``tests/test_flow.py`` pins this differentially.  (A next-hop route
+crosses each arc once, so its loads stay under the total too; a
+header-state route may revisit a node under another header.)
 
 Minimal example — route a uniform demand matrix through a compiled
 shortest-path program and read off congestion:
@@ -62,17 +63,21 @@ shortest-path program and read off congestion:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.routing.model import SchemeInapplicableError
 from repro.routing.program import (
+    DROPPED,
     GenericProgram,
     HeaderStateProgram,
     NextHopProgram,
     RoutingProgram,
+    _resolve_stops,
+    transition_dtype,
 )
 from repro.routing.verify import (
     VERDICT_DELIVERED,
@@ -119,8 +124,8 @@ class DemandMatrix:
 
     Entries are integer-valued float64 message counts (weighted pair
     counts), zero on the diagonal.  Integer values are what make the
-    subtree-sum and per-pair-walk accumulators byte-identical: float64
-    addition is exact on integers below ``2**53``.
+    subtree sums byte-identical to a per-pair walk: float64 addition is
+    exact on integers up to ``2**53``.
     """
 
     demand: np.ndarray
@@ -276,9 +281,9 @@ class FlowResult:
     Attributes
     ----------
     kind / n / mode:
-        Program kind, vertex count, and which accumulator ran
-        (``"subtree"`` for the layered subtree sums, ``"walk"`` for the
-        compact frontier walk).
+        Program kind, vertex count, and the accumulator that ran — always
+        ``"subtree"`` (the layered subtree sums); kept so flow rows keep
+        their schema.
     model:
         The demand matrix's model name (``"uniform"`` / ``"zipf"`` /
         ``"gravity"`` / ``"custom"``).
@@ -286,8 +291,8 @@ class FlowResult:
         Total demand over feasible pairs, and the subset whose pairs the
         program provably delivers.  Load counts **delivered traffic
         only** — a dropped message's walked prefix does not occupy
-        capacity in this model, which is what keeps the subtree and walk
-        accumulators exactly interchangeable.
+        capacity in this model, which is what makes every loaded state
+        part of a delivered route.
     demand / delivered / lengths:
         The routed demand matrix, the delivered-pair mask, and the exact
         per-pair hop counts.  ``lengths`` **is** the verification
@@ -401,42 +406,88 @@ class FlowResult:
 
 
 # ----------------------------------------------------------------------
-# subtree-sum fast path (unmasked next-hop programs)
+# layered subtree sums over a program's state graph
 # ----------------------------------------------------------------------
 def _subtree_loads(
+    acc: np.ndarray,
+    succ: np.ndarray,
+    arc: np.ndarray,
+    depth: np.ndarray,
+    n: int,
+    node_sum: Callable[[np.ndarray], np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Accumulate loads as layered subtree sums over a functional state graph.
+
+    ``acc[s]`` is the delivered demand that enters the walk at state ``s``
+    (overwritten in place), ``succ[s]`` the state after its hop and
+    ``arc[s]`` that hop's arc code ``u * n + v``.  ``depth[s]`` is one
+    more than the exact number of hops from ``s`` to its delivering stop
+    for every state on a delivered walk — ``1`` at the stops themselves —
+    and ``0`` elsewhere; undelivered states carry zero weight, so their
+    clipped codes are inert.  Processing layers deepest first pushes each
+    state's accumulated subtree demand one hop down with a single
+    ``np.add.at`` per layer (a parent is exactly one layer shallower than
+    its children, so its own push happens only after every child's
+    arrived).  After the pushes, ``acc[state]`` is the full demand of the
+    state's subtree — the load on its outgoing arc — so ``node_sum``
+    folds it into per-node loads, one ``np.bincount`` over arc codes
+    materialises every arc load once the stops are zeroed (arrival mass
+    takes no hop), and a second ascending pass propagates the per-state
+    bottleneck (max arc load en route) top-down.
+
+    Returns ``(edge_load, node_load, bottleneck)``; ``bottleneck`` is per
+    state.  Raises :class:`ValueError` when demand is pushed into a state
+    of depth ``0``, which depths taken from this program's stop analysis
+    never do: it means a report verified against another program, or an
+    ``alive`` mask killing nodes the program still routes through.
+    """
+    order = np.argsort(depth, kind="stable")
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(depth, minlength=3))))
+    succ_o = succ[order]
+    arc_o = arc[order]
+    for layer in range(len(bounds) - 2, 1, -1):
+        lo, hi = int(bounds[layer]), int(bounds[layer + 1])
+        if lo < hi:
+            np.add.at(acc, succ_o[lo:hi], acc[order[lo:hi]])
+    if acc[order[: bounds[1]]].any():
+        raise ValueError(
+            "delivered demand reached a state the report does not deliver: "
+            "the report and alive mask must describe this program"
+        )
+    node_load = node_sum(acc)
+    acc[order[: bounds[2]]] = 0.0  # stops: arrived traffic takes no hop
+    edge_load = np.bincount(arc, weights=acc, minlength=n * n)
+    bottleneck = np.zeros(acc.shape[0], dtype=np.float64)
+    for layer in range(2, len(bounds) - 1):
+        lo, hi = int(bounds[layer]), int(bounds[layer + 1])
+        if lo < hi:
+            bottleneck[order[lo:hi]] = np.maximum(
+                edge_load[arc_o[lo:hi]], bottleneck[succ_o[lo:hi]]
+            )
+    return edge_load.reshape(n, n), node_load, bottleneck
+
+
+def _next_hop_loads(
     program: NextHopProgram,
     routed: np.ndarray,
     delivered: np.ndarray,
     lengths: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accumulate loads as layered subtree sums over the in-trees.
+    """Subtree sums over the flat destination-major states ``d * n + c``.
 
-    ``routed`` is the demand matrix already zeroed outside the delivered
-    pairs.  Flat destination-major states ``d * n + c`` are bucketed by
-    ``lengths[c, d] + 1`` (bucket 0 collects every undelivered state, so
-    no subset gather is ever needed: undelivered states carry zero weight
-    and their clipped arc codes contribute nothing); processing layers
-    deepest first pushes each state's accumulated subtree demand one hop
-    down with a single ``np.add.at`` per layer (a parent is exactly one
-    layer shallower than its children, so its own push happens only after
-    every child's arrived).  After the pushes, ``acc[state]`` is the full
-    demand of the state's subtree — the load on its outgoing arc — so one
-    ``np.bincount`` over arc codes materialises every arc load, node
-    loads are a reshape-sum, and a second ascending pass propagates the
-    per-path bottleneck (max arc load en route) top-down.  Diagonal
-    states accumulate each destination's arrived traffic; they are zeroed
-    after the node sums so arrival mass never loads a phantom self-arc.
-
-    Index codes fit int32 whenever ``n * n`` does and depths fit int16
-    whenever ``n`` does (a delivered walk is shorter than ``n``), which
-    keeps the argsort and the gathers in narrow integers at every
-    realistic size.
+    The state graph stays implicit: ``succ`` and ``arc`` are index
+    arithmetic on ``next_node`` and the depths are the report's hop
+    counts, so no state array wider than the ``n * n`` grid itself is
+    built.  Index codes and depths take the narrowest dtype that holds
+    them (int32 codes and int16 depths at n = 4096: a delivered walk is
+    shorter than ``n``).
     """
     n = program.n
-    idx_t = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    sort_t = np.int16 if n <= np.iinfo(np.int16).max else np.int64
+    idx_t = transition_dtype(n * n)
     acc = np.ascontiguousarray(routed.T).ravel()  # acc[d * n + c] = routed[c, d]
-    depth = np.where(delivered.T, lengths.T + 1, 0).astype(sort_t).ravel()
+    depth = np.where(delivered.T, lengths.T + 1, 0)
+    depth = depth.astype(transition_dtype(n + 1)).ravel()
+    depth[:: n + 1] = 1  # (d, d): the stops
     # Sentinel transitions (undelivered states) clip to node 0: their
     # weight is identically zero, so the fabricated codes are inert.
     nxt = np.maximum(program.next_node.T, 0).astype(idx_t)
@@ -444,118 +495,42 @@ def _subtree_loads(
     cols = np.arange(n, dtype=idx_t)[None, :]
     succ = (rows * n + nxt).ravel()  # same-destination next state
     arc = (cols * n + nxt).ravel()  # directed edge (cur, nxt)
-    order = np.argsort(depth, kind="stable")
-    succ_o = succ[order]
-    arc_o = arc[order]
-    bounds = np.concatenate(([0], np.cumsum(np.bincount(depth))))
-    for layer in range(len(bounds) - 2, 1, -1):
-        lo, hi = int(bounds[layer]), int(bounds[layer + 1])
-        if lo < hi:
-            np.add.at(acc, succ_o[lo:hi], acc[order[lo:hi]])
-    node_load = acc.reshape(n, n).sum(axis=0)
-    acc[:: n + 1] = 0.0  # diagonal states d * n + d: arrived traffic
-    edge_load = np.bincount(arc, weights=acc, minlength=n * n)
-    bottleneck = np.zeros(n * n, dtype=np.float64)
-    for layer in range(2, len(bounds) - 1):
-        lo, hi = int(bounds[layer]), int(bounds[layer + 1])
-        if lo < hi:
-            idx = order[lo:hi]
-            bottleneck[idx] = np.maximum(
-                edge_load[arc_o[lo:hi]], bottleneck[succ_o[lo:hi]]
-            )
-    path_max = np.ascontiguousarray(bottleneck.reshape(n, n).T)
-    return edge_load.reshape(n, n), node_load, path_max
+    edge_load, node_load, bottleneck = _subtree_loads(
+        acc, succ, arc, depth, n, lambda a: a.reshape(n, n).sum(axis=0)
+    )
+    return edge_load, node_load, np.ascontiguousarray(bottleneck.reshape(n, n).T)
 
 
-# ----------------------------------------------------------------------
-# compact frontier walk (header-state + fault-masked + differential)
-# ----------------------------------------------------------------------
-def _next_hop_steps(
-    program: NextHopProgram, pairs: np.ndarray, hop_budget: np.ndarray
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield ``(frontier positions, arc codes, head nodes)`` per hop.
-
-    The frontier only ever holds delivered pairs with remaining budget,
-    so every gathered transition is a real node — no sentinel handling,
-    exactly like the compacted kernels once their retirements are known.
-    """
-    n = program.n
-    cur = (pairs // n).astype(np.int64)
-    dst = (pairs % n).astype(np.int64)
-    remaining = hop_budget.copy()
-    idx = np.arange(pairs.size, dtype=np.int64)
-    while idx.size:
-        nxt = program.next_node[cur, dst].astype(np.int64)
-        yield idx, cur * n + nxt, nxt
-        remaining -= 1
-        keep = remaining > 0
-        idx = idx[keep]
-        cur = nxt[keep]
-        dst = dst[keep]
-        remaining = remaining[keep]
-
-
-def _header_state_steps(
-    program: HeaderStateProgram, pairs: np.ndarray, hop_budget: np.ndarray
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The header-state twin of :func:`_next_hop_steps` (state frontier)."""
-    n = program.n
-    node_of = program.node_of.astype(np.int64)
-    src = (pairs // n).astype(np.int64)
-    dst = (pairs % n).astype(np.int64)
-    cur = program.initial[src, dst].astype(np.int64)
-    remaining = hop_budget.copy()
-    idx = np.arange(pairs.size, dtype=np.int64)
-    while idx.size:
-        nxt = program.succ[cur].astype(np.int64)
-        yield idx, node_of[cur] * n + node_of[nxt], node_of[nxt]
-        remaining -= 1
-        keep = remaining > 0
-        idx = idx[keep]
-        cur = nxt[keep]
-        remaining = remaining[keep]
-
-
-def _walk_loads(
-    program: RoutingProgram,
-    routed: np.ndarray,
-    delivered: np.ndarray,
-    lengths: np.ndarray,
+def _header_state_loads(
+    program: HeaderStateProgram, routed: np.ndarray, delivered: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Accumulate loads by walking the delivered frontier hop by hop.
+    """Subtree sums over the interned ``(node, header)`` states.
 
-    The differential fallback for the subtree fast path, and the only
-    accumulator for header-state programs and fault-masked views.  Two
-    passes: the first scatters demand onto every traversed arc and node,
-    the second replays the same walk to record each pair's bottleneck
-    (max arc load en route) once the loads are complete.
+    Depths come from the verifier's own stop analysis
+    (:func:`~repro.routing.program._resolve_stops`, delivering and
+    dropped states stopping), never from the stored ``hops_to_deliver``
+    field.  Each delivered pair's demand enters at its initial state.
     """
     n = program.n
-    edge_load = np.zeros(n * n, dtype=np.float64)
-    node_load = np.zeros(n, dtype=np.float64)
-    path_max = np.zeros(n * n, dtype=np.float64)
-    pairs = np.flatnonzero(delivered.ravel())
-    if pairs.size:
-        weights = routed.ravel()[pairs]
-        budget = lengths.ravel()[pairs].astype(np.int64)
-        np.add.at(node_load, pairs // n, weights)  # the origination visit
-        for idx, arc, heads in _program_steps(program, pairs, budget):
-            np.add.at(edge_load, arc, weights[idx])
-            np.add.at(node_load, heads, weights[idx])
-        bneck = np.zeros(pairs.size, dtype=np.float64)
-        for idx, arc, _ in _program_steps(program, pairs, budget):
-            bneck[idx] = np.maximum(bneck[idx], edge_load[arc])
-        path_max[pairs] = bneck
-    return edge_load.reshape(n, n), node_load, path_max.reshape(n, n)
-
-
-def _program_steps(
-    program: RoutingProgram, pairs: np.ndarray, budget: np.ndarray
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    if isinstance(program, NextHopProgram):
-        return _next_hop_steps(program, pairs, budget)
-    assert isinstance(program, HeaderStateProgram)
-    return _header_state_steps(program, pairs, budget)
+    succ, deliver = program.succ, program.deliver
+    num_states = succ.shape[0]
+    if not num_states:  # no state, no pair to route (np.bincount would go integer)
+        return np.zeros((n, n)), np.zeros(n), np.zeros((n, n))
+    idx_t = transition_dtype(max(num_states, n * n))
+    target, steps, resolved = _resolve_stops(succ, deliver | (succ == DROPPED))
+    depth = np.where(resolved & deliver[target], steps + 1, 0)
+    depth = depth.astype(transition_dtype(num_states + 1))
+    seeds = program.initial[delivered].astype(idx_t)  # delivered pairs' first states
+    acc = np.bincount(seeds, weights=routed[delivered], minlength=num_states)
+    nxt = np.maximum(succ, 0).astype(idx_t)  # DROPPED stops carry no weight
+    node_of = program.node_of.astype(idx_t)
+    arc = node_of * n + node_of[nxt]
+    edge_load, node_load, bottleneck = _subtree_loads(
+        acc, nxt, arc, depth, n, lambda a: np.bincount(node_of, weights=a, minlength=n)
+    )
+    path_max = np.zeros((n, n), dtype=np.float64)
+    path_max[delivered] = bottleneck[seeds]
+    return edge_load, node_load, path_max
 
 
 # ----------------------------------------------------------------------
@@ -567,20 +542,17 @@ def route_demand(
     *,
     alive: Optional[np.ndarray] = None,
     report: Optional[VerificationReport] = None,
-    path: str = "auto",
 ) -> FlowResult:
     """Push a demand matrix through a compiled program.
 
     ``report`` accepts a precomputed :func:`verify_program` result so a
     cell computes its hop-count array once and shares it between flow and
     verification (the returned :attr:`FlowResult.lengths` is that array);
-    when omitted it is computed here (with ``alive`` forwarded).  ``path``
-    selects the accumulator: ``"auto"`` takes the subtree fast path for
-    unmasked next-hop programs and the frontier walk everywhere else;
-    ``"subtree"`` / ``"walk"`` force one (``"subtree"`` is only defined
-    for unmasked next-hop programs — fault-masked and header-state
-    traffic always walks).  Generic programs carry no transition arrays
-    to aggregate over and raise.
+    when omitted it is computed here (with ``alive`` forwarded).  Every
+    next-hop and header-state program, masked or not, goes through the
+    same layered subtree accumulator.  Generic programs carry no
+    transition arrays to aggregate over and raise, as does a demand
+    total above ``2**53``, past which float64 sums stop being exact.
     """
     if isinstance(program, GenericProgram):
         raise ValueError(
@@ -602,39 +574,32 @@ def route_demand(
         )
     if not np.isfinite(dm.demand).all() or (dm.demand < 0).any():
         raise ValueError("demand must be finite and nonnegative")
+    # Integer loads stay exact float64 sums while the total is at most
+    # 2**53.  Near that bound the float total may itself round, so the
+    # comparison is decided on the correctly rounded ``total - 2**53``.
+    if dm.total >= 2.0**52 and math.fsum(np.append(dm.demand, -(2.0**53))) > 0.0:
+        raise ValueError(
+            f"demand total {dm.total:.17g} exceeds 2**53: float64 load sums "
+            "would no longer be exact integers"
+        )
     if report is None:
         report = verify_program(program, alive=alive)
     elif report.n != n:
         raise ValueError(f"report is over n={report.n}, program has n={n}")
-    masked = report.masked or alive is not None
-    if path == "auto":
-        mode = "subtree" if isinstance(program, NextHopProgram) and not masked else "walk"
-    elif path in ("subtree", "walk"):
-        mode = path
-        if mode == "subtree" and not (isinstance(program, NextHopProgram) and not masked):
-            raise ValueError(
-                "the subtree accumulator is only defined for unmasked "
-                "next-hop programs; header-state and fault-masked traffic "
-                "goes through the frontier walk"
-            )
-    else:
-        raise ValueError(f"unknown path {path!r}: expected auto, subtree, or walk")
     delivered = report.outcome == VERDICT_DELIVERED
     routed = np.where(delivered, dm.demand, 0.0)
-    if mode == "subtree":
-        assert isinstance(program, NextHopProgram)
-        edge_load, node_load, path_max = _subtree_loads(
+    if isinstance(program, NextHopProgram):
+        edge_load, node_load, path_max = _next_hop_loads(
             program, routed, delivered, report.hops
         )
     else:
-        edge_load, node_load, path_max = _walk_loads(
-            program, routed, delivered, report.hops
-        )
+        assert isinstance(program, HeaderStateProgram)
+        edge_load, node_load, path_max = _header_state_loads(program, routed, delivered)
     feasible = report.outcome != VERDICT_INFEASIBLE
     return FlowResult(
         kind=program.kind,
         n=n,
-        mode=mode,
+        mode="subtree",
         model=dm.model,
         offered_demand=float(np.where(feasible, dm.demand, 0.0).sum()),
         delivered_demand=float(routed.sum()),

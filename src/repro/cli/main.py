@@ -14,7 +14,8 @@ directory, which makes every invocation share the content-addressed
 program store.
 
 Exit codes: ``0`` success, ``1`` a ``--check`` found failing cells,
-``2`` invalid usage (unknown scheme/family, ``--jobs`` below 1).
+``2`` invalid usage (unknown scheme/family, ``--jobs`` below 1, a
+``--store`` that cannot be a writable directory).
 """
 
 from __future__ import annotations
@@ -176,6 +177,17 @@ def _store_root(args: argparse.Namespace) -> Path:
     if args.store is not None:
         return Path(args.store)
     return default_store_root()
+
+
+def _store_error(root: Path) -> Optional[str]:
+    """Why ``root`` cannot hold a store (created here if missing), or ``None``."""
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return f"store {str(root)!r} is not a writable directory: {exc.strerror or exc}"
+    if not os.access(root, os.W_OK | os.X_OK):
+        return f"store {str(root)!r} is not a writable directory"
+    return None
 
 
 def _registries(
@@ -349,6 +361,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             schemes, families = _registries(args)
         except KeyError as exc:
             emit_error(str(exc.args[0]) if exc.args else str(exc))
+            return EXIT_USAGE
+        error = _store_error(_store_root(args))
+        if error is not None:
+            emit_error(error)
             return EXIT_USAGE
         return _SWEEPS[args.command](args, schemes, families)
     except BrokenPipeError:

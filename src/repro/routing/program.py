@@ -14,7 +14,8 @@ shapes the simulator historically special-cased:
 * :class:`HeaderStateProgram` (``kind = "header-state"``) — finite-header
   *rewriting* schemes lower to interned ``(node, header)`` states with
   functional transition arrays ``succ``/``deliver``/``node_of`` plus the
-  exact reverse-BFS ``hops_to_deliver`` livelock analysis.
+  exact ``hops_to_deliver`` livelock analysis (a pointer-doubling stop
+  resolution).
 * :class:`GenericProgram` (``kind = "generic"``) — the explicit opt-out
   marker for schemes whose header evolution is unbounded (or undeclared):
   execution requires the live routing function, and the program records
@@ -390,8 +391,8 @@ class HeaderStateProgram(RoutingProgram):
         delivering state; on a masked view (:func:`repro.sim.faults.apply_faults`)
         a :data:`DROPPED` transition stops the walk too, so the field is
         the exact stop analysis either way — ``-1`` always means the walk
-        cycles forever.  Computed by one reverse BFS over the functional
-        graph (:func:`functional_hops`).
+        cycles forever.  Computed by one pointer-doubling resolution of
+        the functional graph (:func:`functional_hops`).
     initial:
         ``initial[x, y]`` is the state id of ``(x, I(x, y))``; the diagonal
         is ``-1`` (no message is sent to oneself).
@@ -462,11 +463,11 @@ class HeaderStateProgram(RoutingProgram):
         :func:`repro.sim.faults.apply_faults` rewrites blocked successors to
         :data:`DROPPED` here instead of re-enumerating the header alphabet.
         ``hops_to_deliver`` is recomputed by default with **one**
-        :func:`functional_hops` peel whose stopping set counts
+        :func:`functional_hops` resolution whose stopping set counts
         :data:`DROPPED` transitions as stops, keeping the field's
         invariant (``-1`` iff the walk provably cycles) truthful on masked
-        views — the same peel the masked executor's exact hop budget reads
-        back, so masking never pays a second analysis.  A caller that
+        views — the same analysis the masked executor's exact hop budget
+        reads back, so masking never pays a second one.  A caller that
         already knows the analysis is unchanged (an identity view) may
         pass it explicitly to skip the recompute.  State identity
         (``node_of``, ``initial``, debug ``headers``) is shared — a view
@@ -643,6 +644,85 @@ def load_program(
     return program
 
 
+def _resolve_functional(
+    succ: np.ndarray, terminal: np.ndarray, limit: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pointer-doubling resolution of a functional graph with terminals.
+
+    The one resolver behind every stop analysis of a compiled program:
+    :func:`functional_hops`, :func:`repro.routing.verify.verify_program`
+    and the flow engine's layer depths all read it.  ``succ`` maps each
+    state to its unique successor (a terminal's own entry is ignored: it
+    is re-pointed at itself here); ``terminal`` marks the absorbing
+    states; ``limit`` is an upper bound on the length of any
+    terminal-reaching walk (the state count of one connected analysis
+    domain suffices — a longer walk would revisit a state and therefore
+    never terminate).
+
+    Returns ``(target, steps, resolved)``: for every resolved state, the
+    terminal its walk reaches and the exact number of transitions to get
+    there; states left unresolved after ``ceil(log2(limit))`` doubling
+    rounds provably cycle.  The loop keeps the invariant *"``steps[s]`` is
+    the exact distance from ``s`` to ``target[s]``"* — terminals carry
+    ``(self, 0)``, which also makes every round *idempotent on resolved
+    states* (their target self-loops contributing 0 further steps), so the
+    doubling runs unconditionally over the full state vector: two
+    ``np.take`` gathers per round, no index compaction, no scatter
+    writes.  That is the fastest shape numpy offers for this recurrence —
+    ``O(states · log(limit))`` contiguous work with early exit once
+    everything resolved — and the gathers stay cache-local because a
+    functional-graph successor never leaves its own analysis domain.
+    ``steps`` comes back in a domain-sized dtype (``int32`` until the
+    state count or walk bound needs more); callers widen on output.
+    """
+    num_states = succ.shape[0]
+    # int32 state ids halve the gather traffic of the hot loop; resolved
+    # steps are bounded by limit and an unresolved state's accumulator by
+    # 2 * limit, so the 2**30 guard keeps even the transient values exact.
+    compute_dtype = (
+        np.int32  # repro-lint: allow-dtype (a compute width, not a stored one)
+        if num_states <= 2**30 and limit <= 2**30
+        else np.int64
+    )
+    target = succ.astype(compute_dtype, copy=True)
+    tidx = np.flatnonzero(terminal)
+    target[tidx] = tidx.astype(compute_dtype)
+    steps = (~terminal).astype(compute_dtype)
+    resolved = np.take(terminal, target)
+    span = 1
+    rounds = 0
+    while span <= limit and not resolved.all():
+        steps += np.take(steps, target)
+        target = np.take(target, target)
+        span *= 2
+        rounds += 1
+        # The resolved gather exists only to exit early; every other round
+        # (and on the provable-cycle bound) keeps it exact where it
+        # matters while halving the bookkeeping gathers.
+        if rounds % 2 == 0 or span > limit:
+            resolved = np.take(terminal, target)
+    return target, steps, resolved
+
+
+def _resolve_stops(
+    succ: np.ndarray, stopping: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Resolve every state of a transition array to its first stopping state.
+
+    ``(target, steps, resolved)`` of :func:`_resolve_functional` over the
+    functional graph ``s -> succ[s]`` with ``stopping`` as terminals.  A
+    :data:`DROPPED` successor (a masked transition, see
+    :func:`repro.sim.faults.apply_faults`) is absorbing but *non*-stopping
+    unless marked in ``stopping``: the walk ends off-program there and the
+    state stays unresolved.
+    """
+    succ = np.asarray(succ)
+    stopping = np.asarray(stopping, dtype=bool)
+    absorbed = stopping | (succ == DROPPED)
+    state_succ = np.where(absorbed, np.arange(succ.shape[0]), succ)
+    return _resolve_functional(state_succ, stopping, limit=succ.shape[0])
+
+
 def functional_hops(succ: np.ndarray, stopping: np.ndarray) -> np.ndarray:
     """Exact hops from each state of a functional graph to a stopping state.
 
@@ -650,41 +730,14 @@ def functional_hops(succ: np.ndarray, stopping: np.ndarray) -> np.ndarray:
     successor); ``stopping`` marks the absorbing states.  Returns, per
     state, the number of forwarding hops until a stopping state is entered
     (``0`` at the stopping states themselves) or ``-1`` when none is ever
-    reached — the walk provably cycles.  Computed by peeling the graph
-    backwards from the stopping states, one vectorised round per hop count.
-
-    A :data:`DROPPED` successor (a masked transition, see
-    :func:`repro.sim.faults.apply_faults`) is treated as absorbing and
-    *non*-stopping: the walk ends off-program there, so unless the state is
-    itself marked stopping it reports ``-1``.  This is what both the
-    compile-time ``hops_to_deliver`` analysis and the masked executors'
-    exact hop budgets (stopping = delivering-or-dropping) share.
+    reached — the walk provably cycles, or falls off the program at a
+    :data:`DROPPED` successor that is not itself stopping
+    (:func:`_resolve_stops`).  This is what both the compile-time
+    ``hops_to_deliver`` analysis and the masked executors' exact hop
+    budgets (stopping = delivering-or-dropping) share.
     """
-    succ = np.asarray(succ)
-    if not np.issubdtype(succ.dtype, np.signedinteger):
-        succ = succ.astype(np.int64)
-    stopping = np.asarray(stopping, dtype=bool)
-    # Self-loop the masked transitions: an absorbing non-stopping state
-    # keeps hops = NO_ROUTE through every peeling round, which is the
-    # semantics we want for walks that fall off the program at a fault.
-    # The sentinel scan runs once and the copy happens only when a
-    # sentinel actually exists — the unmasked common case peels the input
-    # array directly, in its own (domain-sized) dtype: hop counts are
-    # bounded by the state count, so the narrowest dtype that indexes the
-    # states also holds every finite hop value, and the sentinels are
-    # negative at every width.
-    dropped = succ == DROPPED
-    if succ.size and dropped.any():
-        succ = np.where(dropped, np.arange(succ.shape[0], dtype=succ.dtype), succ)
-    zero = succ.dtype.type(0)
-    hops = np.where(stopping, zero, succ.dtype.type(NO_ROUTE))
-    while True:
-        downstream = hops[succ]
-        newly = (hops < zero) & (downstream >= zero)
-        if not newly.any():
-            break
-        hops[newly] = downstream[newly] + 1
-    return hops
+    _, steps, resolved = _resolve_stops(succ, stopping)
+    return np.where(resolved, steps, steps.dtype.type(NO_ROUTE))
 
 
 # ----------------------------------------------------------------------
@@ -885,8 +938,8 @@ def lower_header_state(
         node_of=node_arr,
         # Exact hops-to-delivery over the functional transition graph;
         # states that never reach a delivering state cycle forever — the
-        # provable livelocks.  The peel runs directly in the state-domain
-        # dtype (hops are bounded by the state count).
+        # provable livelocks, stored in the state-domain dtype (hops are
+        # bounded by the state count).
         hops_to_deliver=functional_hops(succ_arr, deliver_arr).astype(sdt),
         initial=initial.astype(sdt),
         headers=tuple(headers),

@@ -15,7 +15,8 @@ IR instead of running it:
 
 Both reduce to the same question — *which terminal does each state's walk
 reach, and in how many steps?* — answered here by a compacted
-pointer-doubling resolution (:func:`_resolve_functional`): ``O(states)``
+pointer-doubling resolution
+(:func:`~repro.routing.program._resolve_functional`): ``O(states)``
 memory and ``O(states · log(path length))`` work, instead of the executor's
 ``O(pairs · hops)`` simulation.  The result is a closed-form
 :class:`VerificationReport` whose outcome codes and hop counts are
@@ -70,8 +71,12 @@ from repro.routing.program import (
     HeaderStateProgram,
     NextHopProgram,
     RoutingProgram,
-    functional_hops,
+    _resolve_functional,
+    _resolve_stops,
 )
+
+#: ``(target, steps, resolved)`` of one functional-graph resolution.
+_Resolution = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 __all__ = [
     "VERDICT_DELIVERED",
@@ -120,10 +125,13 @@ class ProgramVerificationError(ValueError):
 def _exact_max_ratio(lengths: np.ndarray, dists: np.ndarray) -> Fraction:
     """Exact maximum of ``lengths / dists`` as a :class:`Fraction`.
 
-    Same refinement as the engine's stretch kernel (duplicated here because
-    :mod:`repro.routing` must not import :mod:`repro.sim`): the float argmax
-    is sharpened by re-comparing, as true rationals, every pair within one
-    representable step of the float maximum.  Empty input returns ``1``.
+    The one exact-stretch kernel: :meth:`VerificationReport.stretch`,
+    :meth:`repro.sim.engine.SimulationResult.max_stretch` and
+    :meth:`repro.sim.faults.FaultSimulationResult.max_stretch` all call it.
+    The float argmax is sharpened by re-comparing, as true rationals, every
+    pair within one representable step of the float maximum.  ``lengths``
+    and ``dists`` are integer arrays of delivered pairs with positive
+    distance; empty input returns ``1``.
     """
     if not lengths.size:
         return Fraction(1)
@@ -135,9 +143,9 @@ def _exact_max_ratio(lengths: np.ndarray, dists: np.ndarray) -> Fraction:
     # and a Python loop over n^2 pairs would dwarf the verification
     # itself.  Distinct pairs are bounded by the distinct (length, dist)
     # combinations — a handful on any regular family.
-    packed = lengths[near] * (int(dists.max()) + 1) + dists[near]
-    worst = Fraction(0)
     base = int(dists.max()) + 1
+    packed = lengths[near].astype(np.int64) * base + dists[near].astype(np.int64)
+    worst = Fraction(0)
     for key in np.unique(packed):
         s = Fraction(int(key) // base, int(key) % base)
         if s > worst:
@@ -331,7 +339,9 @@ def _check_next_hop_structure(program: NextHopProgram) -> List[str]:
     return issues
 
 
-def _check_header_state_structure(program: HeaderStateProgram) -> List[str]:
+def _check_header_state_structure(
+    program: HeaderStateProgram,
+) -> Tuple[List[str], _Resolution]:
     succ, deliver = program.succ, program.deliver
     node_of, hops_field = program.node_of, program.hops_to_deliver
     initial = program.initial
@@ -391,7 +401,11 @@ def _check_header_state_structure(program: HeaderStateProgram) -> List[str]:
             f"{diag_bad.size} vertice(s), first: initial[{d}, {d}] = "
             f"{int(initial[d, d])}"
         )
-    recomputed = functional_hops(succ, deliver | (succ == DROPPED))
+    # The stop analysis verify_program classifies pairs with: resolved
+    # once here, where the stored field is checked against it.
+    stops = _resolve_stops(succ, deliver | (succ == DROPPED))
+    _, steps, resolved = stops
+    recomputed = np.where(resolved, steps, NO_ROUTE)
     mismatch = np.nonzero(hops_field != recomputed)[0]
     if mismatch.size:
         s = int(mismatch[0])
@@ -400,7 +414,7 @@ def _check_header_state_structure(program: HeaderStateProgram) -> List[str]:
             f"{mismatch.size} state(s), first: state {s} stores "
             f"{int(hops_field[s])}, analysis proves {int(recomputed[s])}"
         )
-    return issues
+    return issues, stops
 
 
 def verify_structure(program: RoutingProgram) -> List[str]:
@@ -414,8 +428,14 @@ def verify_structure(program: RoutingProgram) -> List[str]:
     destinations, a stale ``hops_to_deliver``, a non-``-1`` initial
     diagonal).
     """
+    return _structure(program)[0]
+
+
+def _structure(program: RoutingProgram) -> Tuple[List[str], Optional[_Resolution]]:
+    """:func:`verify_structure`'s issues, plus a header-state program's
+    stop analysis so :func:`verify_program` never resolves it twice."""
     if isinstance(program, NextHopProgram):
-        return _check_next_hop_structure(program)
+        return _check_next_hop_structure(program), None
     if isinstance(program, HeaderStateProgram):
         return _check_header_state_structure(program)
     if isinstance(program, GenericProgram):
@@ -430,60 +450,8 @@ def verify_structure(program: RoutingProgram) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# functional-graph resolution
+# per-kind classification
 # ----------------------------------------------------------------------
-def _resolve_functional(
-    succ: np.ndarray, terminal: np.ndarray, limit: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pointer-doubling resolution of a functional graph with terminals.
-
-    ``succ`` maps each state to its unique successor (terminal states must
-    self-loop); ``terminal`` marks the absorbing states; ``limit`` is an
-    upper bound on the length of any terminal-reaching walk (the state
-    count of one connected analysis domain suffices — a longer walk would
-    revisit a state and therefore never terminate).
-
-    Returns ``(target, steps, resolved)``: for every resolved state, the
-    terminal its walk reaches and the exact number of transitions to get
-    there; states left unresolved after ``ceil(log2(limit))`` doubling
-    rounds provably cycle.  The loop keeps the invariant *"``steps[s]`` is
-    the exact distance from ``s`` to ``target[s]``"* — terminals carry
-    ``(self, 0)``, which also makes every round *idempotent on resolved
-    states* (their target self-loops contributing 0 further steps), so the
-    doubling runs unconditionally over the full state vector: two
-    ``np.take`` gathers per round, no index compaction, no scatter
-    writes.  That is the fastest shape numpy offers for this recurrence —
-    ``O(states · log(limit))`` contiguous work with early exit once
-    everything resolved — and the gathers stay cache-local because a
-    functional-graph successor never leaves its own analysis domain.
-    ``steps`` comes back in a domain-sized dtype (``int32`` until the
-    state count or walk bound needs more); callers widen on output.
-    """
-    num_states = succ.shape[0]
-    # int32 state ids halve the gather traffic of the hot loop; resolved
-    # steps are bounded by limit and an unresolved state's accumulator by
-    # 2 * limit, so the 2**30 guard keeps even the transient values exact.
-    compute_dtype = np.int32 if num_states <= 2**30 and limit <= 2**30 else np.int64
-    target = succ.astype(compute_dtype, copy=True)
-    tidx = np.flatnonzero(terminal)
-    target[tidx] = tidx.astype(compute_dtype)
-    steps = (~terminal).astype(compute_dtype)
-    resolved = np.take(terminal, target)
-    span = 1
-    rounds = 0
-    while span <= limit and not resolved.all():
-        steps += np.take(steps, target)
-        target = np.take(target, target)
-        span *= 2
-        rounds += 1
-        # The resolved gather exists only to exit early; every other round
-        # (and on the provable-cycle bound) keeps it exact where it
-        # matters while halving the bookkeeping gathers.
-        if rounds % 2 == 0 or span > limit:
-            resolved = np.take(terminal, target)
-    return target, steps, resolved
-
-
 def _mark_infeasible(
     outcome: np.ndarray, hops: np.ndarray, n: int, alive: Optional[np.ndarray]
 ) -> None:
@@ -536,11 +504,8 @@ def _verify_next_hop(
     terminal = is_mis | is_drop
     terminal[diag, diag] |= absorbing
     offsets = (diag.astype(idx_dtype) * idx_dtype(n))[:, None]
-    flat_succ = (nt + offsets).ravel()
-    term = terminal.ravel()
-    tidx = np.flatnonzero(term)
-    flat_succ[tidx] = tidx.astype(idx_dtype)
-    target, steps, resolved = _resolve_functional(flat_succ, term, limit=n)
+    flat_succ = (nt + offsets).ravel()  # terminals are re-pointed by the resolver
+    target, steps, resolved = _resolve_functional(flat_succ, terminal.ravel(), limit=n)
     # Classify each terminal once, then read every pair's verdict off its
     # walk's target: an unresolved walk's target is some non-terminal
     # state, whose class is the LIVELOCKED default — so one gather covers
@@ -561,7 +526,7 @@ def _verify_next_hop(
 
 
 def _verify_header_state(
-    program: HeaderStateProgram, alive: Optional[np.ndarray]
+    program: HeaderStateProgram, alive: Optional[np.ndarray], stops: _Resolution
 ) -> Tuple[np.ndarray, np.ndarray, bool]:
     n = program.n
     succ, deliver, node_of = program.succ, program.deliver, program.node_of
@@ -571,18 +536,11 @@ def _verify_header_state(
         hops = np.zeros((n, n), dtype=np.int64)
         _mark_infeasible(outcome, hops, n, alive)
         return outcome, hops, masked
-    # Stopping mirrors the executors: a delivering state stops the walk
+    # ``stops`` mirrors the executors: a delivering state stops the walk
     # first (delivery wins over a masked successor), and a DROPPED
     # successor stops it AT the current state — both before the would-be
     # hop, so every stop kind's length is the walked prefix.
-    is_drop = succ == DROPPED
-    terminal = np.asarray(deliver, dtype=bool) | is_drop
-    idx = np.arange(succ.shape[0], dtype=np.intp)
-    state_succ = succ.astype(np.intp, copy=True)
-    state_succ[terminal] = idx[terminal]
-    target, steps, resolved = _resolve_functional(
-        state_succ, terminal, limit=succ.shape[0]
-    )
+    target, steps, resolved = stops
     start = program.initial.astype(np.intp)
     start_safe = np.where(start >= 0, start, 0)
     t = target[start_safe]
@@ -634,7 +592,7 @@ def verify_program(
     raise too instead of being returned on the report.  Generic programs
     are not statically verifiable and always raise.
     """
-    issues = verify_structure(program)
+    issues, stops = _structure(program)
     if strict and issues:
         raise ProgramVerificationError(
             f"program failed strict verification with {len(issues)} "
@@ -650,8 +608,8 @@ def verify_program(
         outcome, hops, masked = _verify_next_hop(program, alive)
         num_states = program.n * program.n
     else:
-        assert isinstance(program, HeaderStateProgram)
-        outcome, hops, masked = _verify_header_state(program, alive)
+        assert isinstance(program, HeaderStateProgram) and stops is not None
+        outcome, hops, masked = _verify_header_state(program, alive, stops)
         num_states = program.num_states
     report = VerificationReport(
         kind=program.kind,

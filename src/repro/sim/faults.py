@@ -73,9 +73,9 @@ from repro.routing.program import (
     NextHopProgram,
     RoutingProgram,
 )
+from repro.routing.verify import _exact_max_ratio
 from repro.sim.engine import (
     MaskedExecution,
-    _exact_max_ratio,
     _masked_frames,
     execute_masked_program,
 )
@@ -383,7 +383,7 @@ def apply_faults(
         if faults.is_empty:
             # Identity view: the transition relation is untouched, so the
             # existing livelock analysis is passed through verbatim rather
-            # than re-peeled (the k = 0 no-op must be free).
+            # than re-resolved (the k = 0 no-op must be free).
             return program.with_transitions(
                 succ=program.succ, hops_to_deliver=program.hops_to_deliver
             )

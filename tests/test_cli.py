@@ -12,7 +12,8 @@ The contract under test, per docs/cli.md:
 * **Store reuse** — a second sweep against the same ``--store`` is warm:
   ``compile_hit_rate >= 0.95`` (the PR's acceptance bar).
 * **Exit codes** — 0 success, 1 ``verify --check`` failure, 2 usage
-  errors (unknown scheme/family, ``--jobs`` below 1), with the diagnostic
+  errors (unknown scheme/family, ``--jobs`` below 1, an unwritable
+  ``--store``), with the diagnostic
   on stderr so stdout stays JSONL-pure; an exception inside a cell is a
   bug and propagates instead.
 
@@ -373,6 +374,24 @@ def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
     assert len(err) == 1
     assert err[0]["event"] == "error"
     assert "--jobs" in err[0]["message"]
+
+
+def test_unwritable_store_is_a_usage_error(tmp_path, capsys):
+    # A regular file where the store's parent directory should be: the
+    # sweep must refuse up front, not die mid-cell in save_program.
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    code, data, meta, err = _run(
+        capsys,
+        ["sweep", "--registry", "small", "--family", "cycle",
+         "--store", str(blocker / "store")],
+    )
+    assert code == EXIT_USAGE
+    assert data == [] and meta == []
+    assert len(err) == 1
+    assert err[0]["event"] == "error"
+    assert "not a writable directory" in err[0]["message"]
+    assert str(blocker / "store") in err[0]["message"]
 
 
 def test_a_cells_key_error_is_a_bug_not_a_usage_error(tmp_path, capsys, monkeypatch):

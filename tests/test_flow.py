@@ -2,14 +2,16 @@
 
 Layers of guarantees over :mod:`repro.analysis.flow`:
 
-* **Differential** — the subtree-sum fast path, the compact frontier walk,
-  and a brute-force pure-python per-pair path walk agree **byte for byte**
+* **Differential** — the layered subtree accumulator and a brute-force
+  pure-python per-pair path walk agree **byte for byte**
   (``np.array_equal``, no tolerance) on every compiled registry cell:
   next-hop programs, header-state programs, and fault-masked views.  The
   demand generators emit integer-valued float64 counts precisely so this
-  equality is exact — see the module docstring of ``flow.py``.  Hypothesis
-  extends the subtree/walk equality to random graphs and random integer
-  demand matrices, scaled by ``REPRO_HYP_PROFILE``.
+  equality is exact — see the module docstring of ``flow.py``, and the
+  ``2**53`` guard tests at the edge of that exactness.  Hypothesis extends
+  the equality to random graphs (unmasked and fault-masked, both program
+  kinds) and random integer demand matrices, scaled by
+  ``REPRO_HYP_PROFILE``.
 
 * **Conservation** — total arc load equals demand-weighted route length,
   node load equals arc load plus one origination visit per message, and
@@ -25,6 +27,8 @@ Layers of guarantees over :mod:`repro.analysis.flow`:
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -53,7 +57,7 @@ from repro.routing.program import (
 )
 from repro.routing.verify import VERDICT_DELIVERED, verify_program
 from repro.sim import simulate_all_pairs
-from repro.sim.faults import apply_faults
+from repro.sim.faults import apply_faults, random_fault_set
 from repro.sim.registry import fault_scenarios, graph_families, scheme_registry
 
 from conftest import connected_graphs, profile_settings
@@ -158,14 +162,14 @@ def _assert_flow_equals_oracle(flow, program, dm, report):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("scheme_name,family,graph,program", CELLS, ids=CELL_IDS)
 def test_loads_match_brute_force_across_registry(scheme_name, family, graph, program):
-    # Every compiled registry cell, zipf demand: the auto path (subtree for
-    # next-hop, walk for header-state) must equal the per-pair python walk
-    # byte for byte — integer-valued demand makes float64 accumulation
-    # order-independent, so there is no tolerance here.
+    # Every compiled registry cell, zipf demand: the subtree accumulator
+    # must equal the per-pair python walk byte for byte — integer-valued
+    # demand makes float64 accumulation order-independent, so there is no
+    # tolerance here.
     report = verify_program(program)
     dm = zipf_demand(graph.n, total=10_000.0, seed=3)
     flow = route_demand(program, dm, report=report)
-    assert flow.mode == ("subtree" if isinstance(program, NextHopProgram) else "walk")
+    assert flow.mode == "subtree"
     _assert_flow_equals_oracle(flow, program, dm, report)
 
 
@@ -180,33 +184,30 @@ def test_all_demand_models_match_brute_force(scheme_name, family, graph, program
 
 
 @pytest.mark.parametrize("scheme_name,family,graph,program", SUBSET, ids=SUBSET_IDS)
-def test_walk_path_equals_subtree_path(scheme_name, family, graph, program):
-    # Forcing the two accumulators against the same report must agree
-    # exactly (the differential the benchmark's speedup pin relies on).
-    if not isinstance(program, NextHopProgram):
-        pytest.skip("subtree path is defined for next-hop programs only")
-    report = verify_program(program)
+def test_subtree_loads_match_oracle_without_a_shared_report(
+    scheme_name, family, graph, program
+):
+    # route_demand verifying the program itself must land on the same
+    # arrays as the oracle walking a separately computed report.
     dm = zipf_demand(graph.n, total=25_000.0, seed=11)
-    fast = route_demand(program, dm, report=report, path="subtree")
-    slow = route_demand(program, dm, report=report, path="walk")
-    assert fast.mode == "subtree" and slow.mode == "walk"
-    assert np.array_equal(fast.edge_load, slow.edge_load)
-    assert np.array_equal(fast.node_load, slow.node_load)
-    assert np.array_equal(fast.path_max_load, slow.path_max_load)
-    assert fast.delivered_demand == slow.delivered_demand
+    flow = route_demand(program, dm)
+    report = verify_program(program)
+    _assert_flow_equals_oracle(flow, program, dm, report)
+    assert flow.delivered_demand == float(np.where(flow.delivered, dm.demand, 0.0).sum())
 
 
-@pytest.mark.parametrize("scheme_name,family,graph,program", SUBSET, ids=SUBSET_IDS)
+@pytest.mark.parametrize("scheme_name,family,graph,program", CELLS, ids=CELL_IDS)
 def test_fault_masked_loads_match_brute_force(scheme_name, family, graph, program):
-    # Masked programs must take the walk path and still match the oracle,
-    # loading only the traffic the masked program provably delivers.
-    for label, faults in fault_scenarios(graph, seed=5, edge_ks=(1, 2), node_ks=(1,), per_k=1):
+    # Every registry cell under every default fault scenario: masked views
+    # go through the same accumulator and still match the oracle, loading
+    # only the traffic the masked program provably delivers.
+    for label, faults in fault_scenarios(graph, seed=5):
         masked = apply_faults(program, graph, faults)
         alive = faults.alive_mask(graph.n)
         report = verify_program(masked, alive=alive)
         dm = zipf_demand(graph.n, total=10_000.0, seed=13)
         flow = route_demand(masked, dm, alive=alive, report=report)
-        assert flow.mode == "walk"
+        assert flow.mode == "subtree"
         _assert_flow_equals_oracle(flow, masked, dm, report)
 
 
@@ -230,7 +231,7 @@ def integer_demands(draw, n):
 
 @profile_settings(base_examples=25)
 @given(data=st.data())
-def test_subtree_equals_walk_on_random_graphs(data):
+def test_next_hop_subtree_matches_oracle_on_random_graphs(data):
     graph = data.draw(connected_graphs(min_n=4, max_n=14))
     scheme = SCHEMES["tables-lowest-port"]
     program = scheme.build(graph.copy()).compile_program()
@@ -240,16 +241,13 @@ def test_subtree_equals_walk_on_random_graphs(data):
         demand[0, 1] = 1.0
     report = verify_program(program)
     dm = DemandMatrix(demand=demand, model="custom", seed=None)
-    fast = route_demand(program, dm, report=report, path="subtree")
-    slow = route_demand(program, dm, report=report, path="walk")
-    assert np.array_equal(fast.edge_load, slow.edge_load)
-    assert np.array_equal(fast.node_load, slow.node_load)
-    assert np.array_equal(fast.path_max_load, slow.path_max_load)
+    flow = route_demand(program, dm, report=report)
+    _assert_flow_equals_oracle(flow, program, dm, report)
 
 
 @profile_settings(base_examples=15)
 @given(data=st.data())
-def test_header_state_walk_matches_oracle_on_random_graphs(data):
+def test_header_state_subtree_matches_oracle_on_random_graphs(data):
     graph = data.draw(connected_graphs(min_n=4, max_n=10))
     scheme = SCHEMES["landmark-rewriting"]
     program = scheme.build(graph.copy()).compile_program()
@@ -260,8 +258,30 @@ def test_header_state_walk_matches_oracle_on_random_graphs(data):
     report = verify_program(program)
     dm = DemandMatrix(demand=demand, model="custom", seed=None)
     flow = route_demand(program, dm, report=report)
-    assert flow.mode == "walk"
+    assert flow.mode == "subtree"
     _assert_flow_equals_oracle(flow, program, dm, report)
+
+
+@profile_settings(base_examples=20)
+@given(data=st.data())
+def test_fault_masked_subtree_matches_oracle_on_random_graphs(data):
+    # Both program kinds under a random edge or node fault: the masked
+    # view's DROPPED transitions and dead endpoints must leave exactly the
+    # delivered traffic on the arcs, byte for byte.
+    graph = data.draw(connected_graphs(min_n=4, max_n=10))
+    scheme_name = data.draw(st.sampled_from(["tables-lowest-port", "landmark-rewriting"]))
+    program = SCHEMES[scheme_name].build(graph.copy()).compile_program()
+    kind = data.draw(st.sampled_from(["edge", "node"]))
+    limit = graph.num_edges if kind == "edge" else graph.n - 2
+    k = data.draw(st.integers(min_value=1, max_value=min(3, limit)))
+    faults = random_fault_set(graph, k, kind=kind, seed=data.draw(st.integers(0, 10**6)))
+    masked = apply_faults(program, graph, faults)
+    alive = faults.alive_mask(graph.n)
+    demand = data.draw(integer_demands(graph.n))
+    report = verify_program(masked, alive=alive)
+    dm = DemandMatrix(demand=demand, model="custom", seed=None)
+    flow = route_demand(masked, dm, alive=alive, report=report)
+    _assert_flow_equals_oracle(flow, masked, dm, report)
 
 
 # ----------------------------------------------------------------------
@@ -384,18 +404,46 @@ def test_generic_program_raises(petersen):
         route_demand(program, uniform_demand(petersen.n))
 
 
-def test_forcing_subtree_on_masked_or_header_state_raises(petersen):
+def _demand_totalling(n, total):
+    """One message per ordered pair, with pair (0, 1) topping up to ``total``."""
+    demand = np.ones((n, n))
+    np.fill_diagonal(demand, 0.0)
+    demand[0, 1] = total - (n * (n - 1) - 1)
+    assert math.fsum(demand.ravel()) == total  # exact: float sums may round
+    return demand
+
+
+@pytest.mark.parametrize("scheme", ["tables-lowest-port", "landmark-rewriting"])
+def test_demand_total_of_two_to_the_53_is_exact(petersen, scheme):
+    # At the exactness bound every load is still an exact float64 integer:
+    # the accumulator equals the oracle byte for byte.
+    program = SCHEMES[scheme].build(petersen.copy()).compile_program()
+    report = verify_program(program)
+    dm = DemandMatrix(
+        demand=_demand_totalling(petersen.n, 2.0**53), model="custom", seed=None
+    )
+    flow = route_demand(program, dm, report=report)
+    _assert_flow_equals_oracle(flow, program, dm, report)
+    assert flow.delivered_demand == 2.0**53
+
+
+@pytest.mark.parametrize("scheme", ["tables-lowest-port", "landmark-rewriting"])
+def test_demand_total_above_two_to_the_53_is_rejected(petersen, scheme):
+    program = SCHEMES[scheme].build(petersen.copy()).compile_program()
+    above = np.nextafter(2.0**53, np.inf)
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        route_demand(program, _demand_totalling(petersen.n, above))
+
+
+def test_alive_mask_the_program_ignores_is_rejected(petersen):
+    # Killing a node the unmasked program still routes through leaves
+    # delivered walks crossing states the report calls infeasible: the
+    # accumulator refuses instead of dropping that demand on the floor.
     program = SCHEMES["tables-lowest-port"].build(petersen.copy()).compile_program()
-    faults = fault_scenarios(petersen, seed=0, edge_ks=(1,), node_ks=(), per_k=1)[0][1]
-    masked = apply_faults(program, petersen, faults)
-    dm = uniform_demand(petersen.n)
-    with pytest.raises(ValueError, match="subtree accumulator"):
-        route_demand(masked, dm, alive=faults.alive_mask(petersen.n), path="subtree")
-    header = SCHEMES["landmark-rewriting"].build(petersen.copy()).compile_program()
-    with pytest.raises(ValueError, match="subtree accumulator"):
-        route_demand(header, dm, path="subtree")
-    with pytest.raises(ValueError, match="unknown path"):
-        route_demand(program, dm, path="fastest")
+    alive = np.ones(petersen.n, dtype=bool)
+    alive[0] = False
+    with pytest.raises(ValueError, match="does not deliver"):
+        route_demand(program, uniform_demand(petersen.n), alive=alive)
 
 
 def test_shape_mismatch_raises(petersen):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.flow import route_demand, zipf_demand
 from repro.analysis.runner import ExperimentCache
 from repro.graphs import generators
 from repro.routing.landmark import CowenLandmarkScheme
@@ -36,7 +37,9 @@ from repro.routing.program import (
     transition_dtype,
 )
 from repro.routing.tables import ShortestPathTableScheme
+from repro.routing.verify import verify_program
 from repro.sim.engine import execute_program
+from repro.sim.faults import FaultSet, apply_faults
 
 
 def _next_hop_program(n=18, seed=3):
@@ -92,6 +95,60 @@ def test_sentinels_survive_the_dtype_shrink(wide_dtype):
     assert np.array_equal(clone.next_node, table)
     assert (clone.next_node == MISDELIVER).sum() == 1
     assert (clone.next_node == DROPPED).sum() == 1
+
+
+def _at_width(program, dtype):
+    """The same program with every integer array stored at ``dtype``."""
+    if isinstance(program, NextHopProgram):
+        return NextHopProgram(next_node=program.next_node.astype(dtype))
+    return HeaderStateProgram(
+        succ=program.succ.astype(dtype),
+        deliver=program.deliver,
+        node_of=program.node_of.astype(dtype),
+        hops_to_deliver=program.hops_to_deliver.astype(dtype),
+        initial=program.initial.astype(dtype),
+    )
+
+
+def _report_and_flow_bytes(program, graph):
+    """Every array verify_program and route_demand return, as raw bytes,
+    for the program and one DROPPED-masked view of it."""
+    out = []
+    faults = FaultSet.from_edges(sorted(graph.edges())[:2])
+    for view in (program, apply_faults(program, graph, faults)):
+        alive = faults.alive_mask(graph.n)
+        report = verify_program(view, alive=alive)
+        flow = route_demand(view, zipf_demand(graph.n, total=5_000.0, seed=1), report=report)
+        out.append((report.kind, report.num_states, report.masked, report.issues))
+        for array in (
+            report.outcome,
+            report.hops,
+            flow.delivered,
+            flow.edge_load,
+            flow.node_load,
+            flow.path_max_load,
+        ):
+            out.append((array.dtype.str, array.shape, array.tobytes()))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["next-hop", "header-state"])
+@pytest.mark.parametrize("wide_dtype", [np.int16, np.int32, np.int64])
+def test_verify_and_flow_are_width_independent(kind, wide_dtype):
+    # A program held at any signed width (a hand-built artifact, a v1
+    # blob's int64 arrays) must verify and route byte-identically to its
+    # domain-dtype form: no consumer may let the storage width leak into
+    # an index computation or a result dtype.
+    seed = 3 if kind == "next-hop" else 5
+    graph = generators.random_connected_graph(16, extra_edge_prob=0.2, seed=seed)
+    if kind == "next-hop":
+        program = ShortestPathTableScheme().build(graph).compile_program()
+    else:
+        program = CowenLandmarkScheme(seed=seed, rewriting=True).build(graph).compile_program()
+    assert program.kind == kind
+    assert _report_and_flow_bytes(_at_width(program, wide_dtype), graph) == (
+        _report_and_flow_bytes(program, graph)
+    )
 
 
 # ----------------------------------------------------------------------

@@ -42,6 +42,7 @@ from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.hierarchical import HierarchicalSpannerScheme
 from repro.routing.landmark import CowenLandmarkScheme
 from repro.routing.program import (
+    DROPPED,
     MISDELIVER,
     NO_ROUTE,
     GenericProgram,
@@ -49,6 +50,7 @@ from repro.routing.program import (
     NextHopProgram,
     apply_delta,
     compile_scheme_program,
+    functional_hops,
     program_from_bytes,
 )
 from repro.routing.tables import ShortestPathTableScheme
@@ -199,6 +201,55 @@ def test_differential_delta_patched_programs():
                 assert report.max_stretch == Fraction(1)
                 checked += 1
     assert checked >= 6, checked
+
+
+def _peel_hops(succ: np.ndarray, stopping: np.ndarray) -> np.ndarray:
+    """Reference stop analysis: peel the functional graph backwards.
+
+    One vectorised round per hop count from the stopping states; a
+    DROPPED successor self-loops, so a non-stopping state there keeps
+    NO_ROUTE.  The independent oracle of ``functional_hops``.
+    """
+    succ = np.asarray(succ).astype(np.int64)
+    ids = np.arange(succ.shape[0])
+    succ = np.where(succ == DROPPED, ids, succ)
+    hops = np.where(np.asarray(stopping, dtype=bool), 0, NO_ROUTE)
+    while True:
+        downstream = hops[succ]
+        newly = (hops < 0) & (downstream >= 0)
+        if not newly.any():
+            return hops
+        hops[newly] = downstream[newly] + 1
+
+
+def test_functional_hops_equals_the_peel_on_registry_header_state_programs():
+    """The doubling resolver and the reverse peel agree on every registry
+    header-state program and every fault_scenarios view of it, for both
+    stopping sets the library uses (delivering; delivering-or-dropped)."""
+    programs = 0
+    for scheme_name, family_name, graph, _, program in _compiled_cells():
+        if not isinstance(program, HeaderStateProgram):
+            continue
+        views = [("unmasked", program)] + [
+            (label, apply_faults(program, graph, faults))
+            for label, faults in fault_scenarios(
+                graph, seed=3, edge_ks=(1, 2), node_ks=(1,), per_k=1
+            )
+        ]
+        for view_label, view in views:
+            label = f"{scheme_name} x {family_name} x {view_label}"
+            stops = view.deliver | (view.succ == DROPPED)
+            for stopping in (view.deliver, stops):
+                np.testing.assert_array_equal(
+                    functional_hops(view.succ, stopping),
+                    _peel_hops(view.succ, stopping),
+                    err_msg=label,
+                )
+            np.testing.assert_array_equal(
+                view.hops_to_deliver, _peel_hops(view.succ, stops), err_msg=label
+            )
+        programs += 1
+    assert programs >= 20, programs
 
 
 @given(
