@@ -21,15 +21,15 @@ Two jobs:
   n = 256 random connected graph, >= 5x for the header-compiled
   state-machine path against the generic per-message interpreter on an
   interval-routing scheme over the n = 128 grid, >= 5x for the
-  frontier-compacted next-hop kernel against the pre-compaction dense
-  kernel on the n = 4096 hypercube (plus a >= 3x deterministic
-  working-set reduction), >= 10x for a zero-copy mmap program load
+  compiled executor (``execute_program``, a view over the static
+  verifier) against the dense lockstep oracle of ``tests/dense_oracle.py``
+  on the n = 4096 hypercube (plus a measured ``tracemalloc`` peak of at
+  most 700 MiB), >= 10x for a zero-copy mmap program load
   against decoding the v1 blob it replaced, >= 5x for an incremental
   churn delta (single-edge flip on the n = 1024 hypercube) against
   recompiling the table program from scratch, >= 5x for the static
   program verifier against the generic per-message interpreter on the
-  n = 1024 hypercube table program (while staying at least as fast as
-  the compact compiled executor on the same artifact).  The layered
+  n = 1024 hypercube table program.  The layered
   subtree-sum load accumulator has an absolute budget on the same
   n = 1024 hypercube program under uniform demand, checked by exact
   conservation identities (plus a warm-cache ``flow_sweep`` smoke over
@@ -56,6 +56,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -90,14 +91,14 @@ from repro.routing.program import (
 )
 from repro.routing.tables import ShortestPathTableScheme
 from repro.routing.verify import verify_program
-from repro.sim.engine import (
-    _execute_next_hop_compact,
-    _execute_next_hop_dense,
-    kernel_working_set,
-    simulate_all_pairs,
-)
+from repro.sim.engine import execute_program, simulate_all_pairs
 from repro.sim.faults import simulate_with_faults, surviving_distance_matrix
 from repro.sim.registry import fault_scenarios, graph_families, scheme_registry
+
+# The dense lockstep oracle lives with the tests; appended, so this
+# directory's conftest keeps precedence over the tests' one.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from dense_oracle import dense_execute  # noqa: E402
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_baseline.json"
 
@@ -152,7 +153,7 @@ PROGRAM_SWEEP_FAMILIES = (
 RESILIENCE_FAMILIES = ("grid", "torus", "random-sparse")
 RESILIENCE_SCENARIOS = dict(edge_ks=(1, 2), node_ks=(1,), per_k=2)
 
-#: The large-n workload of the compact-kernel acceptance pin: e-cube
+#: The large-n workload of the executor acceptance pin: e-cube
 #: (dimension-ordered) routing on the 12-dimensional hypercube, n = 4096 —
 #: 16.7M in-flight messages.  Built directly as a next-hop matrix (the
 #: generic per-scheme builder is a Python double loop, far too slow at
@@ -572,39 +573,46 @@ def test_resilience_sweep_warm_vs_recompile_per_scenario(benchmark, tmp_path):
     )
 
 
+#: Ceiling of the executor's measured heap peak on the n = 4096 pin.
+EXECUTE_PEAK_MIB_N4096 = 700
+
+
 @pytest.mark.benchmark(group="perf-regression")
-def test_compact_next_hop_speedup_n4096(benchmark):
-    # The frontier-compaction acceptance pin: the compact kernel on a
-    # domain-dtype program must run the n = 4096 hypercube e-cube walk at
-    # least 5x faster than the pre-PR dense kernel on the pre-PR int64
-    # layout, with bit-identical results and a >= 3x smaller deterministic
-    # working set (dtype shrink + two-code frontier vs three int64 arrays
-    # plus the per-hop scatter matrix).
+def test_execute_program_speedup_n4096(benchmark):
+    # The executor acceptance pin: execute_program on a domain-dtype
+    # program must finish the n = 4096 hypercube e-cube cell at least 5x
+    # faster than the dense lockstep oracle on the int64 layout, with
+    # bit-identical results, and its tracemalloc heap peak must stay under
+    # EXECUTE_PEAK_MIB_N4096.
     prog = _hypercube_ecube_program()
     legacy = NextHopProgram(next_node=prog.next_node.astype(np.int64))
-    ref, dense_s = _time(_execute_next_hop_dense, legacy, None)
+    ref, dense_s = _time(dense_execute, legacy)
 
     def _run():
-        return _execute_next_hop_compact(prog, None)
+        return execute_program(prog)
 
     result = benchmark.pedantic(_run, rounds=3, iterations=1)
-    # Best-of-rounds: at 16.7M messages a single OS-scheduling spike can
-    # double a round on a shared host, and the floor pins the kernel's
-    # warm steady state (round 1 additionally pays the one-time frontier
-    # build that later executions share).
+    # Best-of-rounds: at 16.7M pairs a single OS-scheduling spike can
+    # double a round on a shared host.
     fast_s = benchmark.stats.stats.min
     _check_budget("next_hop_n4096_hypercube", fast_s)
     speedup = dense_s / fast_s
-    working_set = kernel_working_set(prog)
+    del result
+    tracemalloc.start()
+    try:
+        result = execute_program(prog)
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
     print_rows(
-        "Compact vs dense next-hop kernel (n=4096 hypercube e-cube)",
+        "execute_program vs the dense oracle (n=4096 hypercube e-cube)",
         [
             {
                 "case": f"dim={N4096_DIM} n={prog.n}",
                 "dense_s": dense_s,
-                "compact_s": fast_s,
+                "execute_s": fast_s,
                 "speedup": speedup,
-                "ws_reduction": working_set["reduction"],
+                "peak_mib": peak_mib,
             }
         ],
     )
@@ -614,10 +622,11 @@ def test_compact_next_hop_speedup_n4096(benchmark):
     assert result.steps == ref.steps
     floor = 5.0 / SPEEDUP_MARGIN
     assert speedup >= floor, (
-        f"compact next-hop kernel speedup {speedup:.1f}x below the {floor:.1f}x floor"
+        f"execute_program speedup {speedup:.1f}x below the {floor:.1f}x floor"
     )
-    assert working_set["reduction"] >= 3.0, (
-        f"working-set reduction {working_set['reduction']:.2f}x below the 3x floor"
+    assert peak_mib <= EXECUTE_PEAK_MIB_N4096, (
+        f"execute_program heap peak {peak_mib:.0f} MiB over the "
+        f"{EXECUTE_PEAK_MIB_N4096} MiB ceiling"
     )
 
 
@@ -716,16 +725,12 @@ def test_verify_speedup_vs_simulate_n1024(benchmark):
     # exact hop count by functional-graph analysis (no message executed)
     # must beat dynamically discovering the same matrices with the
     # engine's generic per-message interpreter by at least 5x on the
-    # n = 1024 hypercube table program — and must stay at least as fast
-    # as the compact compiled executor on the same artifact, which the
-    # verifier additionally beats on *strength* (livelocks are proven,
-    # not inferred from an exhausted hop budget).
+    # n = 1024 hypercube table program.
     graph = generators.hypercube(CHURN_FLIP_DIM)
     scheme = ShortestPathTableScheme(tie_break="lowest_port")
     rf = scheme.build(graph.copy())
     program = compile_scheme_program(scheme, graph)
     generic, generic_s = _time(simulate_all_pairs, rf, method="generic")
-    compact, compact_s = _time(simulate_all_pairs, program)
 
     def _run():
         return verify_program(program)
@@ -736,35 +741,26 @@ def test_verify_speedup_vs_simulate_n1024(benchmark):
     fast_s = benchmark.stats.stats.min
     _check_budget("verify_vs_simulate_n1024", fast_s)
     speedup = generic_s / fast_s
-    vs_compact = compact_s / fast_s
     print_rows(
         "Static verification vs simulation (n=1024 hypercube tables)",
         [
             {
                 "case": f"dim={CHURN_FLIP_DIM} n={graph.n}",
                 "generic_sim_s": generic_s,
-                "compact_sim_s": compact_s,
                 "verify_s": fast_s,
                 "speedup_vs_generic": speedup,
-                "speedup_vs_compact": vs_compact,
             }
         ],
     )
     # Differential: the statically proven hop counts are bit-for-bit the
-    # lengths both executors observe (which subsumes the delivered /
+    # lengths the interpreter observes (which subsumes the delivered /
     # misdelivered classification — lost pairs carry -1).
     assert report.all_delivered and report.ok
     assert np.array_equal(report.hops, generic.lengths)
-    assert np.array_equal(report.hops, compact.lengths)
     floor = 5.0 / SPEEDUP_MARGIN
     assert speedup >= floor, (
         f"static verification speedup {speedup:.1f}x below the {floor:.0f}x "
         f"floor against the generic interpreter"
-    )
-    exec_floor = 1.0 / SPEEDUP_MARGIN
-    assert vs_compact >= exec_floor, (
-        f"static verification is {1 / vs_compact:.1f}x slower than the "
-        f"compact executor (floor: no slower than {1 / exec_floor:.1f}x)"
     )
 
 
@@ -882,7 +878,7 @@ def _measure_pinned_paths() -> dict:
         )
 
     prog = _hypercube_ecube_program()
-    _, next_hop_s = _time(_execute_next_hop_compact, prog, None)
+    _, next_hop_s = _time(execute_program, prog)
     with tempfile.TemporaryDirectory() as store_dir:
         rpg = Path(store_dir) / "ecube.rpg"
         save_program(prog, rpg)

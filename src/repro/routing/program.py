@@ -113,9 +113,9 @@ MISDELIVER = -2
 #: would take crosses a failed edge or enters a failed node, so a message
 #: attempting it is dropped at the fault instead of moving.  Produced by
 #: :func:`repro.sim.faults.apply_faults` through the :meth:`with_next_node`
-#: / :meth:`with_transitions` view API; only the masked executors of
-#: :mod:`repro.sim.engine` understand it — the plain executors never see it
-#: because an unmasked lowering never emits it.
+#: / :meth:`with_transitions` view API; only masked execution
+#: (:func:`repro.sim.engine.execute_masked_program`) accepts it — the plain
+#: executor rejects it, and an unmasked lowering never emits it.
 DROPPED = -3
 
 #: The ``-1`` "no route / never stops" marker shared by every hop-count
@@ -466,8 +466,9 @@ class HeaderStateProgram(RoutingProgram):
         :func:`functional_hops` resolution whose stopping set counts
         :data:`DROPPED` transitions as stops, keeping the field's
         invariant (``-1`` iff the walk provably cycles) truthful on masked
-        views — the same analysis the masked executor's exact hop budget
-        reads back, so masking never pays a second one.  A caller that
+        views.  Execution never reads the field back (the verifier
+        resolves the stops itself and only checks the field), so a stale
+        value is a reported issue, not a wrong result.  A caller that
         already knows the analysis is unchanged (an identity view) may
         pass it explicitly to skip the recompute.  State identity
         (``node_of``, ``initial``, debug ``headers``) is shared — a view
@@ -732,9 +733,9 @@ def functional_hops(succ: np.ndarray, stopping: np.ndarray) -> np.ndarray:
     (``0`` at the stopping states themselves) or ``-1`` when none is ever
     reached — the walk provably cycles, or falls off the program at a
     :data:`DROPPED` successor that is not itself stopping
-    (:func:`_resolve_stops`).  This is what both the compile-time
-    ``hops_to_deliver`` analysis and the masked executors' exact hop
-    budgets (stopping = delivering-or-dropping) share.
+    (:func:`_resolve_stops`).  This is the compile-time
+    ``hops_to_deliver`` analysis (stopping = delivering-or-dropping on
+    masked views).
     """
     _, steps, resolved = _resolve_stops(succ, stopping)
     return np.where(resolved, steps, steps.dtype.type(NO_ROUTE))

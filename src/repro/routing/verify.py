@@ -17,13 +17,17 @@ Both reduce to the same question — *which terminal does each state's walk
 reach, and in how many steps?* — answered here by a compacted
 pointer-doubling resolution
 (:func:`~repro.routing.program._resolve_functional`): ``O(states)``
-memory and ``O(states · log(path length))`` work, instead of the executor's
+memory and ``O(states · log(path length))`` work, instead of an
 ``O(pairs · hops)`` simulation.  The result is a closed-form
-:class:`VerificationReport` whose outcome codes and hop counts are
-*definitionally equal* to what :func:`repro.sim.engine.simulate_all_pairs` /
-:func:`repro.sim.engine.execute_masked_program` would observe (the
-differential suite in ``tests/test_verify.py`` pins this across every
-registry scheme and graph family).
+:class:`VerificationReport` whose outcome codes and hop counts are what
+stepping every message would observe.  It is also how compiled programs
+execute: :func:`repro.sim.engine.execute_program`,
+:func:`repro.sim.engine.execute_masked_program` and
+:func:`repro.sim.faults.simulate_with_faults` are views over one report.
+The differential suites in ``tests/test_verify.py`` and
+``tests/test_compact_kernels.py`` pin it, across every registry scheme
+and graph family, against the per-message interpreter and a dense
+lockstep oracle.
 
 Verdict codes are numerically identical to the ``PAIR_*`` outcome taxonomy
 of :mod:`repro.sim.faults`, so a report's ``outcome`` matrix can be compared
@@ -33,8 +37,8 @@ other way — so the equality is pinned by a test, not by sharing names).
 
 Structural corruption (an out-of-range successor, a sentinel that does not
 exist, a wrong shape) always raises :class:`ProgramVerificationError` with a
-diagnostic naming the first offending entry.  *Semantic* oddities that the
-executors handle deterministically — a non-absorbing destination, a stale
+diagnostic naming the first offending entry.  *Semantic* oddities with a
+well-defined outcome — a non-absorbing destination, a stale
 ``hops_to_deliver`` field — are collected as ``issues`` on the report and
 only raise under ``strict=True`` (the cache integrity gate's mode).
 
@@ -423,8 +427,8 @@ def verify_structure(program: RoutingProgram) -> List[str]:
     Raises :class:`ProgramVerificationError` on structural corruption (wrong
     shape, unsigned dtype, out-of-range successor / node / initial-state
     entries — including a stray ``-1``, which is never a valid transition).
-    Returns the list of *semantic* issues: conditions the executors handle
-    deterministically but that no healthy compile produces (non-absorbing
+    Returns the list of *semantic* issues: conditions with a well-defined
+    outcome that no healthy compile produces (non-absorbing
     destinations, a stale ``hops_to_deliver``, a non-``-1`` initial
     diagonal).
     """
@@ -481,9 +485,9 @@ def _verify_next_hop(
         _mark_infeasible(outcome, hops, n, alive)
         return outcome, hops, masked
     # Flat destination-major state space: state d*n + c is "the message is
-    # at node c, destined to d" — the same layout as the executor's
-    # location table, which keeps every walk inside its own destination
-    # column (one cache-resident 4·n-byte block per column).  Widen BEFORE
+    # at node c, destined to d" — a layout that keeps every walk inside its
+    # own destination column (one cache-resident 4·n-byte block per
+    # column).  Widen BEFORE
     # adding column offsets: the stored dtype is domain-sized and would
     # overflow at d*n.  int32 ids (n² permitting) halve the gather traffic
     # of the resolution loop.
@@ -494,18 +498,20 @@ def _verify_next_hop(
     masked = bool(is_drop.any())
     diag = np.arange(n)
     absorbing = nn[diag, diag] == diag
-    # Terminal flat states, mirroring executor precedence exactly:
+    # Terminal flat states, mirroring a stepped message's precedence exactly:
     # * (d, d) with absorbing d — the arrival hop was already counted, so
     #   the terminal contributes 0 further steps (delivered = walk length);
     # * any (d, c) whose successor is a sentinel — the message stops AT c
     #   before taking the hop (misdeliver/drop = walked prefix length).
-    # A non-absorbing (d, d) is NOT terminal: messages pass through it,
-    # exactly like every executor kernel.
+    # A non-absorbing (d, d) is NOT terminal: messages pass through it.
     terminal = is_mis | is_drop
     terminal[diag, diag] |= absorbing
-    offsets = (diag.astype(idx_dtype) * idx_dtype(n))[:, None]
-    flat_succ = (nt + offsets).ravel()  # terminals are re-pointed by the resolver
-    target, steps, resolved = _resolve_functional(flat_succ, terminal.ravel(), limit=n)
+    # In place: nt becomes the flat successor array (terminals' garbage
+    # entries are re-pointed by the resolver).
+    nt += (diag.astype(idx_dtype) * idx_dtype(n))[:, None]
+    target, steps, resolved = _resolve_functional(nt.ravel(), terminal.ravel(), limit=n)
+    # Drop each n*n intermediate once read: at n = 4096 they are 64 MB apiece.
+    del nt, terminal
     # Classify each terminal once, then read every pair's verdict off its
     # walk's target: an unresolved walk's target is some non-terminal
     # state, whose class is the LIVELOCKED default — so one gather covers
@@ -516,7 +522,9 @@ def _verify_next_hop(
     dd = diag[absorbing]
     term_class[dd * n + dd] = VERDICT_DELIVERED
     outcome_flat = np.take(term_class, target)
+    del target, term_class, is_mis, is_drop
     hops_flat = np.where(resolved, steps, steps.dtype.type(NO_ROUTE))
+    del steps, resolved
     # Flat layout is (dest, source); reports are (source, dest).  Transpose
     # in the narrow dtype, then widen hops to the report's int64 contract.
     outcome = np.ascontiguousarray(outcome_flat.reshape(n, n).T)
@@ -536,7 +544,7 @@ def _verify_header_state(
         hops = np.zeros((n, n), dtype=np.int64)
         _mark_infeasible(outcome, hops, n, alive)
         return outcome, hops, masked
-    # ``stops`` mirrors the executors: a delivering state stops the walk
+    # ``stops`` mirrors a stepped message: a delivering state stops the walk
     # first (delivery wins over a masked successor), and a DROPPED
     # successor stops it AT the current state — both before the would-be
     # hop, so every stop kind's length is the walked prefix.

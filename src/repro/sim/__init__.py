@@ -16,11 +16,12 @@ system built around a **compile-once pipeline**:
   them to workers as bytes.
 
 * :mod:`repro.sim.engine` — a thin executor over programs that routes
-  **all n(n-1) ordered pairs at once**: one vectorised step function per
-  program kind (``"compiled"`` next-hop gathers, ``"header-compiled"``
-  state-id gathers, ``"generic"`` batched interpretation).  Livelock
-  detection is exact on both compiled kinds (functional-graph arguments)
-  and budget-based on the generic path.
+  **all n(n-1) ordered pairs at once**.  Both compiled kinds
+  (``"compiled"`` next-hop, ``"header-compiled"`` header-state) execute as
+  a view over the static verifier, which proves every pair's fate and hop
+  count by functional-graph analysis, so livelock detection is exact;
+  ``"generic"`` programs run through one per-message interpreter whose
+  livelock detection is budget-based.
 
 * :mod:`repro.sim.registry` — seeded instances of every graph-generator
   family and every implemented routing scheme, the executable domain of the
@@ -29,10 +30,10 @@ system built around a **compile-once pipeline**:
 
 * :mod:`repro.sim.faults` — vectorized fault injection on compiled
   programs: a :class:`~repro.sim.faults.FaultSet` masks a program's
-  transition arrays (no recompilation) and the masked executors classify
-  every feasible pair as delivered / dropped-at-fault / livelocked /
-  misdelivered, with stretch inflation measured against shortest paths
-  recomputed on the surviving graph.
+  transition arrays (no recompilation) and one verification of the
+  masked program classifies every feasible pair as delivered /
+  dropped-at-fault / livelocked / misdelivered, with stretch inflation
+  measured against shortest paths recomputed on the surviving graph.
 
 * :mod:`repro.sim.churn` — seeded dynamic-topology traces
   (:class:`~repro.sim.churn.ChurnTrace`): connectivity-preserving edge

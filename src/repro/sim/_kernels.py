@@ -1,120 +1,9 @@
-"""Optional numba-accelerated per-pair walk for next-hop programs.
+"""Stand-in for the retired optional numba kernel.
 
-The compact numpy kernels of :mod:`repro.sim.engine` advance the whole
-surviving frontier one synchronous step at a time; a jitted per-pair walk
-goes further and runs each message to completion in registers, touching
-the next-hop table once per hop with zero interpreter overhead.  numba is
-strictly optional — it is **not** a dependency of this package:
-
-* when :mod:`numba` imports, :data:`HAVE_NUMBA` is ``True`` and
-  :func:`next_hop_walk` runs the ``@njit``-compiled walk (the engine
-  auto-selects it under ``REPRO_SIM_KERNEL=auto``);
-* when it does not (or ``REPRO_PURE_NUMPY=1`` is set before import),
-  the same function body runs as plain Python — identical semantics,
-  only viable at test sizes, which is exactly how the differential suite
-  exercises the walk logic without the extra installed.
-
-The walk reproduces the dense kernel's observable behaviour exactly: hop
-counting, misdelivery detection, pass-through of non-absorbing
-destinations, and the ``steps`` bookkeeping (the synchronous step at which
-the last message retired, or the budget when something livelocked).
+Compiled programs execute through :func:`repro.routing.verify.verify_program`
+(see :mod:`repro.sim.engine`); no jitted kernel exists.  The frozen
+benchmark harness (``perfbench/run.py``) still reads this flag, so it stays
+until that harness next changes.
 """
 
-from __future__ import annotations
-
-import os
-from typing import Tuple
-
-import numpy as np
-
-from repro.routing.program import MISDELIVER
-
-__all__ = ["HAVE_NUMBA", "PURE_NUMPY_ENV", "next_hop_walk"]
-
-#: Set (to any non-empty value) before import to refuse numba even when it
-#: is importable — the switch the differential CI leg flips to run the same
-#: suite through the pure numpy kernels.
-PURE_NUMPY_ENV = "REPRO_PURE_NUMPY"
-
-
-def _walk_all_pairs(
-    next_node: np.ndarray,
-    absorbing: np.ndarray,
-    budget: int,
-    lengths: np.ndarray,
-    delivered: np.ndarray,
-    misdelivered: np.ndarray,
-) -> int:
-    # Shared body of the jitted and pure-Python walks (njit-compiled below
-    # when available): nopython-compatible code only.
-    n = next_node.shape[0]
-    steps = 0
-    for src in range(n):
-        for dst in range(n):
-            if src == dst:
-                continue
-            cur = src
-            hops = 0
-            done = False
-            while hops < budget and not done:
-                nxt = next_node[cur, dst]
-                hops += 1
-                if nxt == MISDELIVER:
-                    misdelivered[src, dst] = True
-                    done = True
-                else:
-                    cur = nxt
-                    if cur == dst and absorbing[dst]:
-                        delivered[src, dst] = True
-                        lengths[src, dst] = hops
-                        done = True
-            # In the synchronous schedule every message advances in
-            # lockstep, so the per-message hop counter at retirement *is*
-            # the step index; a message that exhausts the budget leaves
-            # hops == budget, matching the dense loop's final steps value.
-            if hops > steps:
-                steps = hops
-    return steps
-
-
 HAVE_NUMBA = False
-if not os.environ.get(PURE_NUMPY_ENV):
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        HAVE_NUMBA = False
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only with numba installed
-    _walk_all_pairs_jit = njit(cache=True, nogil=True)(_walk_all_pairs)
-else:
-    _walk_all_pairs_jit = _walk_all_pairs
-
-
-def next_hop_walk(
-    next_node: np.ndarray, absorbing: np.ndarray, budget: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Walk every ordered pair through ``next_node`` to completion.
-
-    Returns ``(lengths, delivered, misdelivered, steps)`` in exactly the
-    layout :class:`repro.sim.engine.SimulationResult` expects (int64
-    lengths with ``-1`` for lost pairs and ``0`` on the diagonal, boolean
-    outcome matrices with a ``True`` delivered diagonal).
-    """
-    n = next_node.shape[0]
-    lengths = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(lengths, 0)
-    delivered = np.eye(n, dtype=bool)
-    misdelivered = np.zeros((n, n), dtype=bool)
-    steps = int(
-        _walk_all_pairs_jit(
-            np.ascontiguousarray(next_node),
-            np.ascontiguousarray(absorbing),
-            budget,
-            lengths,
-            delivered,
-            misdelivered,
-        )
-    )
-    return lengths, delivered, misdelivered, steps

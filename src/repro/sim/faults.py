@@ -8,8 +8,9 @@ transition array**.  :func:`apply_faults` rewrites the transitions a
 :class:`~repro.sim.faults.FaultSet` blocks to the
 :data:`~repro.routing.program.DROPPED` sentinel — through the program view
 API (``with_next_node`` / ``with_transitions``), *without recompiling the
-scheme* — and the masked executors of :mod:`repro.sim.engine` classify every
-ordered pair in one vectorised sweep.  Thousands of failure scenarios
+scheme* — and one static verification
+(:func:`repro.routing.verify.verify_program`) of the masked program
+classifies every ordered pair.  Thousands of failure scenarios
 therefore reuse a single cached compile (see
 :meth:`repro.analysis.runner.ShardedRunner.resilience_sweep`).
 
@@ -48,7 +49,7 @@ distances quantifies how much of the scheme's guarantee a failure costs.
 
 The per-message reference interpreter (``method="reference"``) applies the
 same fault model to the live routing function decision by decision; it is
-the differential oracle of the vectorised path and the only execution route
+the differential oracle of the compiled path and the only execution route
 for generic (opt-out) programs.
 """
 
@@ -57,27 +58,28 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.shortest_paths import UNREACHABLE
-from repro.routing.model import DELIVER, RoutingFunction
+from repro.routing.model import RoutingFunction
 from repro.routing.program import (
     DROPPED,
-    NO_ROUTE,
     GenericProgram,
     HeaderStateExplosionError,
     HeaderStateProgram,
     NextHopProgram,
     RoutingProgram,
 )
-from repro.routing.verify import _exact_max_ratio
+from repro.routing.verify import _exact_max_ratio, verify_program
 from repro.sim.engine import (
+    _MASKED_MODES,
     MaskedExecution,
-    _masked_frames,
-    execute_masked_program,
+    _interpret,
+    _lockstep_steps,
+    _refuse_hop_budget,
 )
 
 __all__ = [
@@ -411,70 +413,6 @@ def apply_faults(
 
 
 # ----------------------------------------------------------------------
-# the reference interpreter (differential oracle + generic execution path)
-# ----------------------------------------------------------------------
-def _reference_masked(
-    rf: RoutingFunction,
-    graph: PortLabeledGraph,
-    faults: FaultSet,
-    max_hops: Optional[int],
-) -> MaskedExecution:
-    """Per-message fault interpretation of the live routing function.
-
-    Applies the fault model decision by decision — ``DELIVER`` checked
-    before the fault (a delivering node never hops), the blocked hop never
-    counted — so the vectorised masked executors can be asserted equal to
-    it matrix for matrix.  Budget follows the generic interpreter
-    (``4 * n``); cycles that never touch a fault classify as livelocks
-    exactly as they do there.
-    """
-    n = graph.n
-    alive = faults.alive_mask(n)
-    failed_edges = set(faults.edges)
-    lengths, delivered, misdelivered, dropped, src, dst = _masked_frames(n, alive)
-    budget = 4 * n if max_hops is None else max_hops
-
-    flights: List[Tuple[int, int, int, Hashable]] = [
-        (int(x), int(y), int(x), rf.initial_header(int(x), int(y)))
-        for x, y in zip(src, dst)
-    ]
-    port_fn = rf.port
-    next_header = rf.next_header
-    neighbor_at_port = graph.neighbor_at_port
-    steps = 0
-    while flights and steps < budget:
-        steps += 1
-        survivors: List[Tuple[int, int, int, Hashable]] = []
-        for source, dest, node, header in flights:
-            port = port_fn(node, header)
-            if port == DELIVER:
-                if node == dest:
-                    delivered[source, dest] = True
-                else:
-                    misdelivered[source, dest] = True
-                continue
-            try:
-                nxt = neighbor_at_port(node, port)
-            except KeyError as exc:
-                raise ValueError(
-                    f"routing function used invalid port {port} at vertex {node} "
-                    f"(degree {graph.degree(node)})"
-                ) from exc
-            edge = (node, nxt) if node < nxt else (nxt, node)
-            if not alive[nxt] or edge in failed_edges:
-                dropped[source, dest] = True
-                continue
-            lengths[source, dest] += 1
-            survivors.append((source, dest, nxt, next_header(node, header)))
-        flights = survivors
-    for source, dest, _, _ in flights:
-        lengths[source, dest] = NO_ROUTE  # budget exhausted: livelock
-    return MaskedExecution(
-        delivered, misdelivered, dropped, lengths, steps=steps, mode="generic-masked"
-    )
-
-
-# ----------------------------------------------------------------------
 # results
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -596,6 +534,7 @@ class FaultSimulationResult:
 
 
 def _classify(execution: MaskedExecution, alive: np.ndarray) -> np.ndarray:
+    """The interpreter's outcome matrices as one outcome-code matrix."""
     n = execution.lengths.shape[0]
     outcome = np.full((n, n), PAIR_INFEASIBLE, dtype=np.int8)
     feasible = alive[:, None] & alive[None, :] & ~np.eye(n, dtype=bool)
@@ -638,14 +577,15 @@ def simulate_with_faults(
         Pre-computed surviving distances (sweep drivers cache them per
         ``(graph, faults)``); computed on demand otherwise.
     max_hops:
-        Hop budget override; defaults match the masked executors (exact on
-        both compiled kinds) and the generic ``4 * n`` on the reference
-        path.
+        Hop budget of the per-message interpreter (default ``4 * n``).  A
+        compiled program's verification is exact and takes none: giving
+        one with a compiled program raises :class:`ValueError`.
     method:
         ``"auto"`` masks the compiled program (lowering the routing
-        function first if no ``program`` was passed; generic kinds fall
-        back to the reference interpreter).  ``"reference"`` forces the
-        per-message oracle — differential tests pin ``auto == reference``.
+        function first if no ``program`` was passed) and verifies the
+        masked view; generic kinds fall back to the per-message
+        interpreter.  ``"reference"`` forces the interpreter — differential
+        tests pin ``auto == reference``.
     """
     if isinstance(rf, RoutingProgram):
         if program is not None:
@@ -662,35 +602,35 @@ def simulate_with_faults(
     faults.validate(graph)
     alive = faults.alive_mask(graph.n)
 
-    if method == "reference" or (program is None and rf is not None and rf.program_kind() == "generic"):
-        if rf is None:
-            raise ValueError("the reference interpreter needs the live routing function")
-        execution = _reference_masked(rf, graph, faults, max_hops)
+    if method == "auto" and program is None and rf is not None:
+        try:
+            program = rf.compile_program()
+        except HeaderStateExplosionError:
+            pass
+    if method == "auto" and program is not None and not isinstance(program, GenericProgram):
+        _refuse_hop_budget(max_hops)
+        # The verdict codes are the PAIR_* codes: the report is the result.
+        report = verify_program(apply_faults(program, graph, faults), alive=alive)
+        outcome, lengths = report.outcome, report.hops
+        steps, mode = _lockstep_steps(report), _MASKED_MODES[report.kind]
     else:
-        if program is None:
-            try:
-                program = rf.compile_program()
-            except HeaderStateExplosionError:
-                program = GenericProgram(num_vertices=graph.n)
-        if isinstance(program, GenericProgram):
-            if rf is None:
-                raise ValueError(
-                    "a generic program is an opt-out marker: fault-injecting it "
-                    "needs the live routing function (pass rf=...)"
-                )
-            execution = _reference_masked(rf, graph, faults, max_hops)
-        else:
-            masked = apply_faults(program, graph, faults)
-            execution = execute_masked_program(masked, alive=alive, max_hops=max_hops)
+        if rf is None:
+            raise ValueError(
+                "the interpreter needs the live routing function: a generic "
+                "program is an opt-out marker (pass rf=...)"
+            )
+        execution = _interpret(rf, graph, alive, set(faults.edges), max_hops)
+        outcome, lengths = _classify(execution, alive), execution.lengths
+        steps, mode = execution.steps, execution.mode
 
     if dist is None:
         dist = surviving_distance_matrix(graph, faults)
     return FaultSimulationResult(
-        outcome=_classify(execution, alive),
-        lengths=execution.lengths,
+        outcome=outcome,
+        lengths=lengths,
         alive=alive,
         faults=faults,
         dist=dist,
-        steps=execution.steps,
-        mode=execution.mode,
+        steps=steps,
+        mode=mode,
     )

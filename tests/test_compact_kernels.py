@@ -1,48 +1,43 @@
-"""Differential and dispatch coverage for the frontier-compacted kernels.
+"""Differential coverage of the compiled executor against the dense oracle.
 
-The compact kernels (``_execute_next_hop_compact``,
-``_execute_header_state_compact`` and their masked variants) are an
-alternative *implementation*, not an alternative *semantics*: every test
-here pins them bit-for-bit against the dense reference loops, including
-under fault masks, livelocks, misdelivery sentinels, and degenerate
-frontiers.  The ``REPRO_SIM_KERNEL`` dispatch contract and the optional
-numba walk (``repro.sim._kernels``) are pinned the same way — whatever
-the selector picks must agree with dense.
+:func:`~repro.sim.engine.execute_program` and
+:func:`~repro.sim.engine.execute_masked_program` are views over one static
+verification; the dense lockstep loops of ``tests/dense_oracle.py`` step
+every message instead.  Every test here pins the two bit-for-bit —
+lengths, outcome matrices and ``steps`` — including under fault masks,
+livelocks, misdelivery sentinels, stale analysis fields and degenerate
+frontiers.
 """
 
 from __future__ import annotations
 
-import importlib
-
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import profile_settings
+from dense_oracle import dense_execute, dense_execute_masked
 from repro.graphs import generators
 from repro.routing.landmark import CowenLandmarkScheme
 from repro.routing.program import (
     DROPPED,
     MISDELIVER,
     GenericProgram,
+    HeaderStateProgram,
     NextHopProgram,
 )
 from repro.routing.tables import ShortestPathTableScheme
-from repro.sim import _kernels
-from repro.sim.engine import (
-    KERNEL_ENV,
-    _execute_header_state_compact,
-    _execute_header_state_dense,
-    _execute_header_state_masked_compact,
-    _execute_header_state_masked_dense,
-    _execute_next_hop_compact,
-    _execute_next_hop_dense,
-    _execute_next_hop_masked_compact,
-    _execute_next_hop_masked_dense,
-    _FRONTIER_CACHE,
-    execute_masked_program,
-    execute_program,
-    kernel_working_set,
+from repro.routing.verify import verify_program
+from repro.sim.engine import execute_masked_program, execute_program, simulate_all_pairs
+from repro.sim.faults import (
+    PAIR_DELIVERED,
+    FaultSet,
+    apply_faults,
+    random_fault_set,
+    simulate_with_faults,
 )
-from repro.sim.faults import apply_faults, random_fault_set
+from repro.sim.registry import fault_scenarios, graph_families, scheme_registry
 
 
 def _graphs():
@@ -64,80 +59,110 @@ def _assert_same_result(a, b):
     assert np.array_equal(a.delivered, b.delivered)
     assert np.array_equal(a.misdelivered, b.misdelivered)
     assert a.steps == b.steps
+    assert a.mode == b.mode
 
 
 def _assert_same_masked(a, b):
-    assert np.array_equal(a.lengths, b.lengths)
-    assert np.array_equal(a.delivered, b.delivered)
-    assert np.array_equal(a.misdelivered, b.misdelivered)
+    _assert_same_result(a, b)
     assert np.array_equal(a.dropped, b.dropped)
-    assert a.steps == b.steps
 
 
 # ----------------------------------------------------------------------
-# dense == compact differentials
+# executor == dense oracle
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize(
     "name,graph,program", list(_next_hop_programs()), ids=lambda v: v if isinstance(v, str) else ""
 )
-def test_next_hop_compact_matches_dense(name, graph, program):
-    _assert_same_result(
-        _execute_next_hop_dense(program, None),
-        _execute_next_hop_compact(program, None),
-    )
+def test_next_hop_executor_matches_dense(name, graph, program):
+    _assert_same_result(dense_execute(program), execute_program(program))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_header_state_compact_matches_dense(seed):
+def test_header_state_executor_matches_dense(seed):
     graph = generators.random_connected_graph(16, extra_edge_prob=0.2, seed=seed)
     program = CowenLandmarkScheme(seed=seed, rewriting=True).build(graph).compile_program()
-    _assert_same_result(
-        _execute_header_state_dense(program, None),
-        _execute_header_state_compact(program, None),
-    )
+    _assert_same_result(dense_execute(program), execute_program(program))
 
 
 @pytest.mark.parametrize("kind,k", [("edge", 3), ("node", 2)])
-def test_masked_next_hop_compact_matches_dense_under_faults(kind, k):
+def test_masked_next_hop_executor_matches_dense_under_faults(kind, k):
     graph = generators.random_connected_graph(18, extra_edge_prob=0.2, seed=4)
     program = ShortestPathTableScheme().build(graph).compile_program()
     faults = random_fault_set(graph, k, kind=kind, seed=9)
     masked = apply_faults(program, graph, faults)
     alive = faults.alive_mask(graph.n)
     _assert_same_masked(
-        _execute_next_hop_masked_dense(masked, alive, None),
-        _execute_next_hop_masked_compact(masked, alive, None),
+        dense_execute_masked(masked, alive), execute_masked_program(masked, alive)
     )
 
 
 @pytest.mark.parametrize("kind,k", [("edge", 3), ("node", 2)])
-def test_masked_header_state_compact_matches_dense_under_faults(kind, k):
+def test_masked_header_state_executor_matches_dense_under_faults(kind, k):
     graph = generators.random_connected_graph(16, extra_edge_prob=0.2, seed=6)
     program = CowenLandmarkScheme(seed=6, rewriting=True).build(graph).compile_program()
     faults = random_fault_set(graph, k, kind=kind, seed=2)
     masked = apply_faults(program, graph, faults)
     alive = faults.alive_mask(graph.n)
     _assert_same_masked(
-        _execute_header_state_masked_dense(masked, alive, None),
-        _execute_header_state_masked_compact(masked, alive, None),
+        dense_execute_masked(masked, alive), execute_masked_program(masked, alive)
     )
+
+
+def test_small_registry_executor_matches_dense():
+    # Every compiled cell of the small registry, unmasked and under every
+    # fault_scenarios view: arrays, steps and mode equal the oracle's.
+    cells = 0
+    for family_name, graph in graph_families(size="small", seed=0).items():
+        for scheme_name, scheme in scheme_registry().items():
+            try:
+                program = scheme.build(graph.copy()).compile_program()
+            except ValueError:
+                continue
+            if isinstance(program, GenericProgram):
+                continue
+            _assert_same_result(dense_execute(program), execute_program(program))
+            for _, faults in fault_scenarios(
+                graph, seed=3, edge_ks=(1, 2), node_ks=(1,), per_k=1
+            ):
+                masked = apply_faults(program, graph, faults)
+                alive = faults.alive_mask(graph.n)
+                _assert_same_masked(
+                    dense_execute_masked(masked, alive),
+                    execute_masked_program(masked, alive),
+                )
+            cells += 1
+    assert cells >= 200, cells
 
 
 def test_livelock_ring_agrees_and_exhausts_budget():
     # A unanimous "route clockwise, never absorb" table: every off-diagonal
-    # pair livelocks, lengths stay -1, and the walk runs to the hop budget.
+    # pair livelocks, lengths stay -1, and a lockstep run lasts n steps.
     n = 8
     table = np.empty((n, n), dtype=np.int16)
     for cur in range(n):
         table[cur, :] = (cur + 1) % n
     program = NextHopProgram(next_node=table)
-    dense = _execute_next_hop_dense(program, None)
-    compact = _execute_next_hop_compact(program, None)
-    _assert_same_result(dense, compact)
-    assert compact.steps == n  # default budget is n hops
+    result = execute_program(program)
+    _assert_same_result(dense_execute(program), result)
+    assert result.steps == n
     offdiag = ~np.eye(n, dtype=bool)
-    assert (compact.lengths[offdiag] == -1).all()
-    assert not compact.delivered[offdiag].any()
+    assert (result.lengths[offdiag] == -1).all()
+    assert not result.delivered[offdiag].any()
+
+
+def test_header_state_livelock_agrees():
+    # A non-delivering self-loop on one state of a healthy header-state
+    # program: every pair reaching it livelocks, and the stored
+    # hops_to_deliver goes stale (a report issue, not an error).
+    graph = generators.random_connected_graph(14, extra_edge_prob=0.2, seed=3)
+    program = CowenLandmarkScheme(seed=3, rewriting=True).build(graph).compile_program()
+    succ = np.array(program.succ, copy=True)
+    looping = int(np.flatnonzero(~program.deliver)[0])
+    succ[looping] = looping
+    broken = program.with_transitions(succ=succ, hops_to_deliver=program.hops_to_deliver)
+    result = execute_program(broken)
+    _assert_same_result(dense_execute(broken), result)
+    assert result.livelocked_pairs()
 
 
 def test_misdelivery_sentinels_agree():
@@ -147,11 +172,10 @@ def test_misdelivery_sentinels_agree():
     table[2, 5] = MISDELIVER
     table[3, 0] = MISDELIVER
     bad = NextHopProgram(next_node=table)
-    dense = _execute_next_hop_dense(bad, None)
-    compact = _execute_next_hop_compact(bad, None)
-    _assert_same_result(dense, compact)
-    assert compact.misdelivered.any()
-    assert (compact.lengths[compact.misdelivered] == -1).all()
+    result = execute_program(bad)
+    _assert_same_result(dense_execute(bad), result)
+    assert result.misdelivered.any()
+    assert (result.lengths[result.misdelivered] == -1).all()
 
 
 def test_unmasked_dropped_program_is_rejected():
@@ -166,145 +190,121 @@ def test_unmasked_dropped_program_is_rejected():
 @pytest.mark.parametrize("n", [0, 1])
 def test_degenerate_sizes_agree(n):
     program = NextHopProgram(next_node=np.zeros((n, n), dtype=np.int16))
-    _assert_same_result(
-        _execute_next_hop_dense(program, None),
-        _execute_next_hop_compact(program, None),
-    )
+    _assert_same_result(dense_execute(program), execute_program(program))
 
 
 def test_all_dead_and_single_survivor_masks():
     graph = generators.grid_2d(3, 3)
-    program = ShortestPathTableScheme().build(graph).compile_program()
     n = graph.n
-    for alive in (np.zeros(n, dtype=bool), np.eye(1, n, 4, dtype=bool)[0]):
-        dense = _execute_next_hop_masked_dense(program, alive, None)
-        compact = _execute_next_hop_masked_compact(program, alive, None)
-        _assert_same_masked(dense, compact)
-        assert compact.steps == 0  # no alive pair ever enters the frontier
-
-
-def test_frontier_cache_is_reused_and_immutable():
-    graph = generators.hypercube(3)
-    program = ShortestPathTableScheme().build(graph).compile_program()
-    first = _execute_next_hop_compact(program, None)
-    assert graph.n in _FRONTIER_CACHE
-    pair, loc = _FRONTIER_CACHE[graph.n]
-    assert not pair.flags.writeable and not loc.flags.writeable
-    second = _execute_next_hop_compact(program, None)
-    _assert_same_result(first, second)
-    assert _FRONTIER_CACHE[graph.n] is not None
-    cached_again = _FRONTIER_CACHE[graph.n]
-    assert cached_again[0] is pair and cached_again[1] is loc
+    for program in (
+        ShortestPathTableScheme().build(graph.copy()).compile_program(),
+        CowenLandmarkScheme(seed=0, rewriting=True).build(graph.copy()).compile_program(),
+    ):
+        for alive in (np.zeros(n, dtype=bool), np.eye(1, n, 4, dtype=bool)[0]):
+            result = execute_masked_program(program, alive)
+            _assert_same_masked(dense_execute_masked(program, alive), result)
+            assert result.steps == 0  # no alive pair ever enters the frontier
 
 
 # ----------------------------------------------------------------------
-# REPRO_SIM_KERNEL dispatch
+# the stored analysis field never decides execution
 # ----------------------------------------------------------------------
-def test_invalid_kernel_choice_raises(monkeypatch):
-    graph = generators.cycle_graph(6)
-    program = ShortestPathTableScheme().build(graph).compile_program()
-    monkeypatch.setenv(KERNEL_ENV, "blazing")
-    with pytest.raises(ValueError, match="blazing"):
-        execute_program(program)
+def test_stale_hops_to_deliver_does_not_truncate_execution():
+    scheme = scheme_registry()["landmark-rewriting"]
+    program = scheme.build(generators.cycle_graph(12)).compile_program()
+    assert isinstance(program, HeaderStateProgram)
+    stale = program.with_transitions(
+        succ=program.succ, hops_to_deliver=np.zeros_like(program.hops_to_deliver)
+    )
+    assert verify_program(stale).issues  # the field is reported stale...
+    healthy, result = execute_program(program), execute_program(stale)
+    assert healthy.all_delivered and result.all_delivered  # ...but never obeyed
+    assert np.array_equal(result.lengths, healthy.lengths)
+    assert np.array_equal(result.delivered, healthy.delivered)
+    assert result.steps == healthy.steps
+    _assert_same_result(dense_execute(stale), result)
 
 
-def test_numba_choice_without_numba_raises(monkeypatch):
-    if _kernels.HAVE_NUMBA:
-        pytest.skip("numba importable: the forced-numba path is valid here")
-    graph = generators.cycle_graph(6)
-    program = ShortestPathTableScheme().build(graph).compile_program()
-    monkeypatch.setenv(KERNEL_ENV, "numba")
-    with pytest.raises(ValueError, match="numba"):
-        execute_program(program)
-
-
-@pytest.mark.parametrize("choice", ["auto", "compact", "dense"])
-def test_every_kernel_choice_agrees(monkeypatch, choice):
-    graph = generators.random_connected_graph(15, extra_edge_prob=0.2, seed=8)
-    program = ShortestPathTableScheme().build(graph).compile_program()
-    reference = _execute_next_hop_dense(program, None)
-    monkeypatch.setenv(KERNEL_ENV, choice)
-    _assert_same_result(reference, execute_program(program))
-    faults = random_fault_set(graph, 2, kind="edge", seed=1)
+@given(
+    n=st.integers(min_value=5, max_value=16),
+    seed=st.integers(min_value=0, max_value=10**6),
+    kind=st.sampled_from(["edge", "node"]),
+)
+@profile_settings(15)
+def test_masked_header_state_executor_matches_dense_random(n, seed, kind):
+    graph = generators.random_connected_graph(n, extra_edge_prob=0.3, seed=seed)
+    program = CowenLandmarkScheme(seed=seed, rewriting=True).build(graph).compile_program()
+    faults = random_fault_set(graph, 2, kind=kind, seed=seed)
     masked = apply_faults(program, graph, faults)
-    alive = faults.alive_mask(graph.n)
+    alive = faults.alive_mask(n)
     _assert_same_masked(
-        _execute_next_hop_masked_dense(masked, alive, None),
-        execute_masked_program(masked, alive),
+        dense_execute_masked(masked, alive), execute_masked_program(masked, alive)
     )
 
 
-# ----------------------------------------------------------------------
-# the optional numba walk (pure-Python body doubles as the reference)
-# ----------------------------------------------------------------------
-def test_pure_python_walk_matches_dense():
-    for name, graph, program in _next_hop_programs():
-        n = program.n
-        diag = np.arange(n)
-        absorbing = program.next_node[diag, diag] == diag
-        lengths, delivered, misdelivered, steps = _kernels.next_hop_walk(
-            program.next_node, absorbing, n
-        )
-        dense = _execute_next_hop_dense(program, None)
-        assert np.array_equal(lengths, dense.lengths), name
-        assert np.array_equal(delivered, dense.delivered), name
-        assert np.array_equal(misdelivered, dense.misdelivered), name
-        assert steps == dense.steps, name
-
-
-def test_auto_routes_through_walk_when_numba_is_available(monkeypatch):
-    # Simulate a numba install: auto must route next-hop programs through
-    # _kernels.next_hop_walk and still agree with the compact kernel.
-    calls = []
-    real_walk = _kernels.next_hop_walk
-
-    def counting_walk(next_node, absorbing, budget):
-        calls.append(budget)
-        return real_walk(next_node, absorbing, budget)
-
-    monkeypatch.setattr(_kernels, "HAVE_NUMBA", True)
-    monkeypatch.setattr(_kernels, "next_hop_walk", counting_walk)
-    monkeypatch.setenv(KERNEL_ENV, "auto")
-    graph = generators.hypercube(3)
-    program = ShortestPathTableScheme().build(graph).compile_program()
-    result = execute_program(program)
-    assert calls, "auto with HAVE_NUMBA did not dispatch to the walk kernel"
-    _assert_same_result(result, _execute_next_hop_compact(program, None))
-
-
-def test_pure_numpy_env_refuses_numba(monkeypatch):
-    monkeypatch.setenv(_kernels.PURE_NUMPY_ENV, "1")
-    reloaded = importlib.reload(_kernels)
-    try:
-        assert reloaded.HAVE_NUMBA is False
-    finally:
-        monkeypatch.delenv(_kernels.PURE_NUMPY_ENV)
-        importlib.reload(_kernels)
+def test_steps_match_the_verified_partition():
+    # What sweep rows promise: on a fully delivering cell a lockstep run
+    # lasts the longest proven route, plus the header-state step that
+    # observes delivery.
+    checked = 0
+    for family_name, graph in graph_families(size="small", seed=0).items():
+        for scheme_name, scheme in scheme_registry().items():
+            try:
+                program = scheme.build(graph.copy()).compile_program()
+            except ValueError:
+                continue
+            if isinstance(program, GenericProgram):
+                continue
+            report = verify_program(program)
+            if not report.all_delivered:
+                continue
+            expected = report.max_finite_hops + (program.kind == "header-state")
+            assert execute_program(program).steps == expected, (scheme_name, family_name)
+            checked += 1
+    assert checked >= 200, checked
 
 
 # ----------------------------------------------------------------------
-# working-set accounting
+# max_hops bounds the interpreter only
 # ----------------------------------------------------------------------
-def test_kernel_working_set_reports_both_layouts():
-    graph = generators.hypercube(4)
-    nh = ShortestPathTableScheme().build(graph).compile_program()
-    ws = kernel_working_set(nh)
-    assert set(ws) == {"compact_bytes", "dense_bytes", "reduction"}
-    assert 0 < ws["compact_bytes"] < ws["dense_bytes"]
-
-    hs = CowenLandmarkScheme(seed=0, rewriting=True).build(graph).compile_program()
-    ws_hs = kernel_working_set(hs)
-    assert 0 < ws_hs["compact_bytes"] < ws_hs["dense_bytes"]
-
-
-def test_kernel_working_set_rejects_generic_programs():
-    with pytest.raises(ValueError, match="GenericProgram"):
-        kernel_working_set(GenericProgram(num_vertices=4))
+@pytest.mark.parametrize("rewriting", [False, True], ids=["next-hop", "header-state"])
+def test_max_hops_is_refused_with_a_compiled_program(rewriting):
+    rf = CowenLandmarkScheme(seed=0, rewriting=rewriting).build(generators.cycle_graph(8))
+    with pytest.raises(ValueError, match="max_hops"):
+        simulate_all_pairs(rf, max_hops=3)
+    with pytest.raises(ValueError, match="max_hops"):
+        simulate_all_pairs(rf, max_hops=3, program=rf.compile_program())
+    with pytest.raises(ValueError, match="max_hops"):
+        simulate_with_faults(rf, FaultSet.from_edges([(0, 1)]), max_hops=3)
 
 
-def test_acceptance_reduction_floor_at_n4096():
-    # The ISSUE's memory criterion, pinned cheaply in tier-1 (one 32MB
-    # int16 zeros table, no simulation).
-    probe = NextHopProgram(next_node=np.zeros((4096, 4096), dtype=np.int16))
-    ws = kernel_working_set(probe)
-    assert ws["reduction"] >= 3.0
+def test_max_hops_still_bounds_the_interpreter():
+    graph = generators.path_graph(6)
+    rf = ShortestPathTableScheme().build(graph)
+    cut = simulate_all_pairs(rf, method="generic", max_hops=2)
+    assert cut.steps == 2
+    # Within two steps only neighbours are delivered (the second step
+    # observes their arrival); everything farther is still in flight.
+    far = np.abs(np.subtract.outer(np.arange(6), np.arange(6))) > 1
+    assert (cut.lengths[far] == -1).all() and not cut.delivered[far].any()
+    faulted = simulate_with_faults(rf, FaultSet.empty(), method="reference", max_hops=2)
+    assert faulted.steps == 2
+    assert faulted.counts()["livelocked"] == int(far.sum())
+
+
+def test_unmasked_interpreter_is_the_no_fault_run():
+    graph = generators.random_connected_graph(12, extra_edge_prob=0.2, seed=5)
+    rf = CowenLandmarkScheme(seed=5, rewriting=True).build(graph)
+    unmasked = simulate_all_pairs(rf, method="generic")
+    no_fault = simulate_with_faults(rf, FaultSet.empty(), method="reference")
+    delivered = no_fault.outcome == PAIR_DELIVERED
+    np.fill_diagonal(delivered, True)
+    assert np.array_equal(unmasked.delivered, delivered)
+    assert np.array_equal(unmasked.lengths, np.where(delivered, no_fault.lengths, -1))
+    assert unmasked.steps == no_fault.steps
+    assert (unmasked.mode, no_fault.mode) == ("generic", "generic-masked")
+
+
+def test_executors_reject_non_programs():
+    with pytest.raises(TypeError, match="not a RoutingProgram"):
+        execute_program(object())

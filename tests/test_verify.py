@@ -4,12 +4,15 @@ Four layers of guarantees over :mod:`repro.routing.verify`:
 
 * **Differential** — for every registry scheme x graph family whose program
   compiles (next-hop or header-state), the verifier's closed-form pair
-  classification and hop counts equal what the executors observe: the
-  unmasked simulator (:func:`repro.sim.engine.simulate_all_pairs`), the
-  masked fault executor (:func:`repro.sim.faults.simulate_with_faults`,
-  outcome **and** lengths bit-for-bit), and delta-patched programs under
-  churn.  Hypothesis extends the same equality to random graphs for both
-  program kinds.
+  classification and hop counts equal what independent oracles observe
+  by stepping messages: the per-message interpreter
+  (``simulate_all_pairs(rf, method="generic")``), its fault-model run
+  (``simulate_with_faults(..., method="reference")``, outcome **and**
+  lengths bit-for-bit), and the dense lockstep loops of
+  ``tests/dense_oracle.py`` on delta-patched and mutated programs.  (The
+  library's compiled executor is a view over the verifier, so it cannot
+  serve as an oracle here.)  Hypothesis extends the same equality to
+  random graphs for both program kinds.
 
 * **Mutation negatives** — corrupted artifacts (out-of-range successors, a
   stray ``-1``, broken absorbing destinations, injected cycles, stale
@@ -64,6 +67,7 @@ from repro.routing.verify import (
     verify_program,
     verify_structure,
 )
+from dense_oracle import dense_execute
 from repro.sim import simulate_all_pairs
 from repro.sim.churn import churn_scenarios
 from repro.sim.faults import (
@@ -123,20 +127,20 @@ def test_verdict_codes_equal_pair_codes():
 # differential: verifier == executor
 # ----------------------------------------------------------------------
 def test_differential_unmasked_full_registry():
-    """verify(program) == simulate_all_pairs(program) on every cell."""
+    """verify(program) == the per-message interpreter on every cell."""
     cells = 0
     kinds = set()
     for scheme_name, family_name, graph, rf, program in _compiled_cells():
-        sim = simulate_all_pairs(rf, program=program)
+        sim = simulate_all_pairs(rf, method="generic")
         report = verify_program(program)
         label = f"{scheme_name} x {family_name}"
         assert report.issues == (), label
         np.testing.assert_array_equal(
             report.outcome, _expected_outcome(sim, graph.n), err_msg=label
         )
-        # The unmasked executor records -1 for lost pairs (walked prefixes
-        # are a masked-path concept); delivered pairs and the diagonal must
-        # agree exactly.
+        # The unmasked interpreter records -1 for lost pairs (walked
+        # prefixes are a masked-path concept); delivered pairs and the
+        # diagonal must agree exactly.
         delivered = report.outcome == VERDICT_DELIVERED
         np.testing.assert_array_equal(
             report.hops[delivered], sim.lengths[delivered], err_msg=label
@@ -151,7 +155,7 @@ def test_differential_unmasked_full_registry():
 
 
 def test_differential_masked_full_registry():
-    """Outcome AND lengths equal simulate_with_faults bit-for-bit."""
+    """Outcome AND lengths equal the interpreter's fault run bit-for-bit."""
     cells = 0
     for scheme_name, family_name, graph, rf, program in _compiled_cells():
         scenarios = fault_scenarios(
@@ -159,7 +163,7 @@ def test_differential_masked_full_registry():
         )
         for fault_label, faults in scenarios:
             masked = apply_faults(program, graph, faults)
-            res = simulate_with_faults(rf, faults, program=program, graph=graph)
+            res = simulate_with_faults(rf, faults, method="reference")
             report = verify_program(masked, alive=faults.alive_mask(graph.n))
             label = f"{scheme_name} x {family_name} x {fault_label}"
             np.testing.assert_array_equal(report.outcome, res.outcome, err_msg=label)
@@ -169,7 +173,7 @@ def test_differential_masked_full_registry():
 
 
 def test_differential_delta_patched_programs():
-    """Verification of delta-patched programs equals simulating them."""
+    """Verification of delta-patched programs equals stepping them densely."""
     checked = 0
     for family_name in ("random-dense", "grid"):
         graph = FAMILIES[family_name]
@@ -186,8 +190,7 @@ def test_differential_delta_patched_programs():
                 except ValueError:
                     break
                 prog, d, g = result.program, result.dist_after, step.graph
-                rf = scheme.build(g.copy())
-                sim = simulate_all_pairs(rf, program=prog)
+                sim = dense_execute(prog)
                 report = verify_program(prog, dist=d)
                 np.testing.assert_array_equal(
                     report.outcome,
@@ -262,7 +265,7 @@ def test_verify_matches_simulation_next_hop_random(n, extra, seed):
     rf = ShortestPathTableScheme().build(graph)
     program = rf.compile_program()
     assert isinstance(program, NextHopProgram)
-    sim = simulate_all_pairs(rf, program=program)
+    sim = dense_execute(program)
     report = verify_program(program)
     np.testing.assert_array_equal(report.outcome, _expected_outcome(sim, n))
     delivered = report.outcome == VERDICT_DELIVERED
@@ -279,7 +282,7 @@ def test_verify_matches_simulation_header_state_random(n, extra, seed):
     rf = HierarchicalSpannerScheme(spanner_stretch=3.0, seed=0, rewriting=True).build(graph)
     program = rf.compile_program()
     assert isinstance(program, HeaderStateProgram)
-    sim = simulate_all_pairs(rf, program=program)
+    sim = simulate_all_pairs(rf, method="generic")
     report = verify_program(program)
     np.testing.assert_array_equal(report.outcome, _expected_outcome(sim, n))
     delivered = report.outcome == VERDICT_DELIVERED
@@ -297,7 +300,7 @@ def test_verify_matches_masked_executor_random(n, seed):
     scenarios = fault_scenarios(graph, seed=seed, edge_ks=(1,), node_ks=(1,), per_k=1)
     for _, faults in scenarios:
         masked = apply_faults(program, graph, faults)
-        res = simulate_with_faults(rf, faults, program=program, graph=graph)
+        res = simulate_with_faults(rf, faults, method="reference")
         report = verify_program(masked, alive=faults.alive_mask(n))
         np.testing.assert_array_equal(report.outcome, res.outcome)
         np.testing.assert_array_equal(report.hops, res.lengths)
@@ -349,7 +352,7 @@ class TestReportAPI:
         program = rf.compile_program()
         dist = distance_matrix(graph)
         report = verify_program(program, dist=dist)
-        sim = simulate_all_pairs(rf, program=program)
+        sim = simulate_all_pairs(rf, method="generic")
         assert report.max_stretch == sim.max_stretch(dist=dist)
 
     def test_require_all_delivered_names_first_lost_pair(self):
@@ -405,10 +408,9 @@ class TestNextHopMutations:
         assert report.issues == tuple(issues)
         with pytest.raises(ProgramVerificationError, match="not absorbing"):
             verify_program(bad, strict=True)
-        # And the classification still matches the executor, which routes
-        # messages *through* a non-absorbing destination.
-        rf = ShortestPathTableScheme().build(FAMILIES["grid"].copy())
-        sim = simulate_all_pairs(rf, program=bad)
+        # And the classification still matches the dense oracle, which
+        # routes messages *through* a non-absorbing destination.
+        sim = dense_execute(bad)
         np.testing.assert_array_equal(
             report.outcome, _expected_outcome(sim, bad.n)
         )
