@@ -2,12 +2,16 @@
 
 * exact vs greedy canonicalisation of constraint matrices (correctness is
   exactness of class separation; cost is the p!·q! search);
-* scipy vs pure-python all-pairs distance backends;
+* the scipy all-pairs distance path vs the per-source Python BFS oracle of
+  ``tests/build_oracle.py``;
 * raw vs interval vs default-port routing-table coders on different graph
   families (the constant factor of the ``Θ(n log n)`` upper bound).
 """
 
 from __future__ import annotations
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,11 @@ from repro.graphs import generators
 from repro.graphs.shortest_paths import distance_matrix
 from repro.memory.coder import DefaultPortCoder, IntervalTableCoder, RawTableCoder
 from repro.routing.tables import ShortestPathTableScheme
+
+# The per-source BFS oracle lives with the tests; appended, so this
+# directory's conftest keeps precedence over the tests' one.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from build_oracle import python_distance_matrix  # noqa: E402
 
 
 @pytest.mark.benchmark(group="ablation-canonical")
@@ -40,10 +49,11 @@ def test_canonicalisation_modes(benchmark, mode):
 
 
 @pytest.mark.benchmark(group="ablation-distance")
-@pytest.mark.parametrize("backend", ["python", "scipy"])
-def test_distance_backend(benchmark, backend):
+@pytest.mark.parametrize("path", ["python-bfs-oracle", "scipy"])
+def test_distance_paths(benchmark, path):
     graph = generators.random_connected_graph(200, extra_edge_prob=0.03, seed=7)
-    result = benchmark(distance_matrix, graph, backend)
+    func = python_distance_matrix if path == "python-bfs-oracle" else distance_matrix
+    result = benchmark(func, graph)
     assert result.shape == (200, 200)
 
 

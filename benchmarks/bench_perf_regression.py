@@ -29,7 +29,11 @@ Two jobs:
   churn delta (single-edge flip on the n = 1024 hypercube) against
   recompiling the table program from scratch, >= 5x for the static
   program verifier against the generic per-message interpreter on the
-  n = 1024 hypercube table program.  The layered
+  n = 1024 hypercube table program, >= 20x for the shortest-path table
+  build (the one tie-break pass) against the distance x router x neighbour
+  loop of ``tests/build_oracle.py`` on the n = 512 hypercube, >= 10x for
+  the rewriting-landmark build plus frontier lowering against that loop
+  plus the per-state closure oracle on the same graph.  The layered
   subtree-sum load accumulator has an absolute budget on the same
   n = 1024 hypercube program under uniform demand, checked by exact
   conservation identities (plus a warm-cache ``flow_sweep`` smoke over
@@ -77,7 +81,8 @@ from repro.constraints.verifier import forced_first_arcs
 from repro.graphs import generators
 from repro.graphs.shortest_paths import distance_matrix
 from repro.routing.interval import IntervalRoutingScheme
-from repro.routing.model import SchemeInapplicableError
+from repro.routing.landmark import CowenLandmarkScheme
+from repro.routing.model import DELIVER, SchemeInapplicableError
 from repro.routing.paths import all_pairs_routing_lengths
 from repro.routing.program import (
     DELTA_PATCHED,
@@ -85,11 +90,12 @@ from repro.routing.program import (
     apply_delta,
     compile_scheme_program,
     load_program,
+    lower,
     program_from_bytes,
     save_program,
     transition_dtype,
 )
-from repro.routing.tables import ShortestPathTableScheme
+from repro.routing.tables import ShortestPathTableScheme, shortest_path_choices
 from repro.routing.verify import verify_program
 from repro.sim.engine import execute_program, simulate_all_pairs
 from repro.sim.faults import simulate_with_faults, surviving_distance_matrix
@@ -98,6 +104,11 @@ from repro.sim.registry import fault_scenarios, graph_families, scheme_registry
 # The dense lockstep oracle lives with the tests; appended, so this
 # directory's conftest keeps precedence over the tests' one.
 sys.path.append(str(Path(__file__).resolve().parents[1] / "tests"))
+from build_oracle import (  # noqa: E402
+    closure_lower_header_state,
+    python_distance_matrix,
+    triple_loop_next_hop,
+)
 from dense_oracle import dense_execute  # noqa: E402
 
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_baseline.json"
@@ -172,6 +183,32 @@ CHURN_FLIP_DIM = 10
 #: executes cached program bytes and spends its time in the subtree
 #: accumulator only.
 FLOW_SWEEP_FAMILIES = ("grid", "torus", "random-sparse")
+
+#: The build-layer workload: the 9-dimensional hypercube, n = 512, whose
+#: every pair has several shortest paths (the tie-break does real work).
+#: The adjacency caches are warmed first: both the library and the
+#: oracles read them.
+BUILD_DIM = 9
+
+
+def _build_graph():
+    graph = generators.hypercube(BUILD_DIM)
+    graph.adjacency_arrays()
+    graph.csr_adjacency()
+    return graph
+
+
+def _oracle_table_ports(graph):
+    """Port matrix of a lowest-port table build, by the per-pair loops."""
+    dist = python_distance_matrix(graph)
+    next_hop = triple_loop_next_hop(graph, "lowest_port", dist)
+    n = graph.n
+    return np.array(
+        [
+            [DELIVER if x == y else graph.port(x, int(next_hop[x, y])) for y in range(n)]
+            for x in range(n)
+        ]
+    )
 
 
 def _hypercube_ecube_program(dim: int = N4096_DIM) -> NextHopProgram:
@@ -314,10 +351,10 @@ def test_first_arcs_fast_path(benchmark):
 @pytest.mark.benchmark(group="perf-regression")
 def test_distance_matrix_cached_csr(benchmark):
     graph = generators.random_connected_graph(512, extra_edge_prob=0.01, seed=7)
-    distance_matrix(graph, backend="scipy")  # warm the CSR cache
+    distance_matrix(graph)  # warm the CSR cache
 
     def _run():
-        return distance_matrix(graph, backend="scipy")
+        return distance_matrix(graph)
 
     dist = benchmark.pedantic(_run, rounds=3, iterations=1)
     _check_budget("distance_matrix_scipy_n512", benchmark.stats.stats.median)
@@ -837,6 +874,63 @@ def test_flow_sweep_warm_cache_smoke(benchmark, tmp_path):
     assert stats.compile_hit_rate >= hit_rate_floor
 
 
+@pytest.mark.benchmark(group="perf-regression")
+def test_tables_build_speedup_vs_triple_loop_n512(benchmark):
+    graph = _build_graph()
+    oracle, oracle_s = _time(_oracle_table_ports, graph)
+    scheme = ShortestPathTableScheme(tie_break="lowest_port")
+    rf = benchmark.pedantic(scheme.build, args=(graph,), rounds=3, iterations=1)
+    fast_s = benchmark.stats.stats.median
+    _check_budget("tables_build_n512_hypercube", fast_s)
+    speedup = oracle_s / fast_s
+    print_rows(
+        "Tables build: tie-break pass vs triple loop (n=512 hypercube)",
+        [{"case": f"n={graph.n}", "oracle_s": oracle_s, "fast_s": fast_s, "speedup": speedup}],
+    )
+    assert np.array_equal(rf.port_matrix, oracle)
+    floor = 20.0 / SPEEDUP_MARGIN
+    assert speedup >= floor, f"tables build speedup {speedup:.1f}x below the {floor:.0f}x floor"
+
+
+@pytest.mark.benchmark(group="perf-regression")
+def test_rewriting_landmark_build_lower_speedup_n512(benchmark):
+    graph = _build_graph()
+    scheme = CowenLandmarkScheme(seed=0, rewriting=True)
+
+    def _run():
+        rf = scheme.build(graph)
+        return rf, lower(rf)
+
+    rf, program = benchmark.pedantic(_run, rounds=3, iterations=1)
+    fast_s = benchmark.stats.stats.median
+    _check_budget("landmark_rewriting_build_lower_n512", fast_s)
+
+    def _oracle():
+        dist = python_distance_matrix(graph)
+        return triple_loop_next_hop(graph, "lowest_port", dist), closure_lower_header_state(rf)
+
+    (next_hop, oracle), oracle_s = _time(_oracle)
+    speedup = oracle_s / fast_s
+    print_rows(
+        "Rewriting landmark: array build + frontier lowering vs per-pair/per-state oracles",
+        [
+            {
+                "case": f"n={graph.n} states={program.num_states}",
+                "oracle_s": oracle_s,
+                "fast_s": fast_s,
+                "speedup": speedup,
+            }
+        ],
+    )
+    assert np.array_equal(next_hop, shortest_path_choices(graph)[0])
+    assert program.to_bytes() == oracle.to_bytes()
+    assert program.headers == oracle.headers
+    floor = 10.0 / SPEEDUP_MARGIN
+    assert speedup >= floor, (
+        f"rewriting-landmark build+lower speedup {speedup:.1f}x below the {floor:.0f}x floor"
+    )
+
+
 # ----------------------------------------------------------------------
 # snapshot maintenance
 # ----------------------------------------------------------------------
@@ -856,8 +950,8 @@ def _measure_pinned_paths() -> dict:
         forced_first_arcs, cg.graph, cg.constrained, cg.targets, 2.0, strict=True, method="bfs"
     )
     graph = generators.random_connected_graph(512, extra_edge_prob=0.01, seed=7)
-    distance_matrix(graph, backend="scipy")
-    _, dist_s = _time(distance_matrix, graph, backend="scipy")
+    distance_matrix(graph)
+    _, dist_s = _time(distance_matrix, graph)
     rf = _simulator_routing_function()
     _, sim_s = _time(simulate_all_pairs, rf)
     interval_rf = _interval_routing_function()
@@ -911,6 +1005,11 @@ def _measure_pinned_paths() -> dict:
         runner.flow_sweep(schemes=schemes, families=families)  # populate
         _, flow_sweep_s = _time(runner.flow_sweep, schemes=schemes, families=families)
 
+    build_graph = _build_graph()
+    _, tables_build_s = _time(ShortestPathTableScheme().build, build_graph)
+    landmark = CowenLandmarkScheme(seed=0, rewriting=True)
+    _, landmark_s = _time(lambda: lower(landmark.build(build_graph)))
+
     return {
         "enumerate_3_4_3": enum_s,
         "first_arcs_lemma2_p32_q60_d10": arcs_s,
@@ -925,6 +1024,8 @@ def _measure_pinned_paths() -> dict:
         "verify_vs_simulate_n1024": verify_s,
         "flow_subtree_n1024": flow_subtree_s,
         "flow_sweep_warm_medium": flow_sweep_s,
+        "tables_build_n512_hypercube": tables_build_s,
+        "landmark_rewriting_build_lower_n512": landmark_s,
     }
 
 

@@ -73,9 +73,11 @@ class PortLabeledGraph:
         self._port_of: List[Dict[int, int]] = [dict() for _ in range(self._n)]
         # _neighbor_at[u][p] = v such that arc (u, v) has port p
         self._neighbor_at: List[Dict[int, int]] = [dict() for _ in range(self._n)]
-        # Lazily built adjacency caches (see adjacency_arrays / csr_adjacency).
+        # Lazily built adjacency caches (see adjacency_arrays / csr_adjacency)
+        # and the cached fingerprint digest; all dropped on mutation.
         self._adj_arrays: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._csr_cache = None
+        self._fingerprint: Optional[str] = None
         if edges is not None:
             for u, v in edges:
                 self.add_edge(u, v)
@@ -241,9 +243,10 @@ class PortLabeledGraph:
     # cached adjacency
     # ------------------------------------------------------------------
     def _invalidate_adjacency(self) -> None:
-        """Drop the cached adjacency; called by every mutating operation."""
+        """Drop the cached adjacency and fingerprint; called by every mutating operation."""
         self._adj_arrays = None
         self._csr_cache = None
+        self._fingerprint = None
 
     def adjacency_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """Cached CSR-style adjacency ``(indptr, indices)`` in port order.
@@ -277,7 +280,7 @@ class PortLabeledGraph:
 
         Built from :meth:`adjacency_arrays` without any Python-level edge
         loop and invalidated on mutation; used by the scipy all-pairs
-        distance backend.
+        distance path (:func:`~repro.graphs.shortest_paths.distance_rows`).
         """
         if self._csr_cache is None:
             from scipy.sparse import csr_matrix
@@ -383,15 +386,18 @@ class PortLabeledGraph:
         hash seed, so it is safe as an on-disk cache key
         (:mod:`repro.analysis.runner`) and as a pin in regression tests —
         a generator or registry change that silently produces a different
-        instance changes the fingerprint.
+        instance changes the fingerprint.  The digest is cached until the
+        next mutation.
         """
-        digest = hashlib.sha256()
-        digest.update(f"n={self._n}".encode())
-        for u in range(self._n):
-            digest.update(b"|")
-            for v, p in sorted(self._port_of[u].items()):
-                digest.update(f"{v}:{p},".encode())
-        return digest.hexdigest()
+        if self._fingerprint is None:
+            digest = hashlib.sha256()
+            digest.update(f"n={self._n}".encode())
+            for u in range(self._n):
+                digest.update(b"|")
+                for v, p in sorted(self._port_of[u].items()):
+                    digest.update(f"{v}:{p},".encode())
+            self._fingerprint = digest.hexdigest()
+        return self._fingerprint
 
     def check_port_consistency(self) -> None:
         """Validate internal invariants; raise :class:`AssertionError` on failure.

@@ -10,9 +10,9 @@ to ``b`` of length at most ``s * d(a, b)``.
 This module provides:
 
 * plain BFS (:func:`bfs_distances`, :func:`bfs_parents`) for single sources,
-* a vectorised all-pairs distance matrix (:func:`distance_matrix`) backed by
-  :func:`scipy.sparse.csgraph.shortest_path` for large instances with a pure
-  Python fallback,
+* a vectorised all-pairs distance matrix (:func:`distance_matrix`, and the
+  per-source-subset :func:`distance_rows` it is built on) backed by
+  :func:`scipy.sparse.csgraph.shortest_path` at every size,
 * shortest-path extraction and enumeration
   (:func:`shortest_path`, :func:`all_shortest_paths`,
   :func:`shortest_path_dag`),
@@ -59,6 +59,7 @@ __all__ = [
     "bfs_distances",
     "bfs_parents",
     "distance_matrix",
+    "distance_rows",
     "all_pairs_distances",
     "eccentricities",
     "shortest_path",
@@ -127,47 +128,46 @@ def bfs_parents(graph: PortLabeledGraph, source: int) -> Tuple[np.ndarray, np.nd
     return dist, parent
 
 
-def distance_matrix(graph: PortLabeledGraph, backend: str = "auto") -> np.ndarray:
+def distance_matrix(graph: PortLabeledGraph) -> np.ndarray:
     """All-pairs distance matrix of the graph.
 
-    Parameters
-    ----------
-    graph:
-        The graph.
-    backend:
-        ``"scipy"`` uses :func:`scipy.sparse.csgraph.shortest_path` (BFS on an
-        unweighted CSR adjacency), ``"python"`` runs one BFS per source, and
-        ``"auto"`` (default) selects scipy for graphs with at least 64
-        vertices.
+    One :func:`distance_rows` call over every source: BFS on the graph's
+    cached unweighted CSR adjacency inside
+    :func:`scipy.sparse.csgraph.shortest_path`, at every size.
 
     Returns
     -------
     numpy.ndarray
         ``(n, n)`` int64 matrix; unreachable pairs hold :data:`UNREACHABLE`.
     """
-    n = graph.n
-    if n == 0:
+    if graph.n == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    if backend not in ("auto", "scipy", "python"):
-        raise ValueError(f"unknown backend {backend!r}")
-    use_scipy = backend == "scipy" or (backend == "auto" and n >= 64)
-    if use_scipy:
-        return _distance_matrix_scipy(graph)
-    return np.vstack([bfs_distances(graph, s) for s in range(n)])
+    return distance_rows(graph)
 
 
-def _distance_matrix_scipy(graph: PortLabeledGraph) -> np.ndarray:
+def distance_rows(
+    graph: PortLabeledGraph, sources: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Distance rows ``d(s, .)`` for every ``s`` in ``sources`` (all when ``None``).
+
+    The single all-pairs distance path: :func:`distance_matrix` and the
+    churn delta's targeted column rebuild
+    (:func:`repro.routing.program.incremental_distance_matrix`) both call
+    it.  Returns an ``(len(sources), n)`` int64 array with
+    :data:`UNREACHABLE` for unreachable pairs.  scipy is imported here, not
+    at module import, so that the graph layer stays cheap to import.
+    """
     from scipy.sparse.csgraph import shortest_path as _sp
 
-    n = graph.n
-    # The CSR adjacency is cached on the graph: repeated distance_matrix
-    # calls (the verifier, the stretch analysis, the benchmarks) no longer
-    # re-extract Python edge lists per call.
-    adj = graph.csr_adjacency()
-    dist = _sp(adj, method="D", unweighted=True, directed=False)
-    out = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    finite = np.isfinite(dist)
-    out[finite] = dist[finite].astype(np.int64)
+    # The CSR adjacency is cached on the graph: repeated calls (the
+    # verifier, the stretch analysis, the benchmarks) do not re-extract
+    # Python edge lists.
+    raw = np.atleast_2d(
+        _sp(graph.csr_adjacency(), method="D", unweighted=True, indices=sources)
+    )
+    out = np.full(raw.shape, UNREACHABLE, dtype=np.int64)
+    finite = np.isfinite(raw)
+    out[finite] = raw[finite].astype(np.int64)
     return out
 
 
@@ -175,8 +175,7 @@ def _distance_matrix_scipy(graph: PortLabeledGraph) -> np.ndarray:
 #: entry point for all-pairs distances (all internal callers use it and
 #: grid sweeps cache its result, see
 #: :func:`repro.analysis.runner.cached_distance_matrix`).  The old name is
-#: kept as a true alias so existing imports keep working — and gain the
-#: ``backend`` parameter.
+#: kept as a true alias so existing imports keep working.
 all_pairs_distances = distance_matrix
 
 

@@ -15,7 +15,7 @@ measure the two regimes on the very same graph family.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -91,7 +91,10 @@ class AdversarialCompleteGraphScheme(BaseRoutingScheme):
             perm = rng.permutation(len(neighbors)) + 1
             mapping = {v: int(p) for v, p in zip(neighbors, perm)}
             graph.set_port_labeling(x, mapping)
-        tables: Dict[int, Dict[int, int]] = {
-            x: {v: graph.port(x, v) for v in range(n) if v != x} for x in range(n)
-        }
-        return TableRoutingFunction(graph, tables, validate=False)
+        # The direct port of every pair: in port order, slot k of x's
+        # adjacency row is port k + 1.
+        indptr, indices = graph.adjacency_arrays()
+        owner = np.repeat(np.arange(n), np.diff(indptr))
+        ports = np.zeros((n, n), dtype=np.int64)
+        ports[owner, indices] = np.arange(indices.size) - indptr[owner] + 1
+        return TableRoutingFunction(graph, ports, validate=False)

@@ -20,9 +20,17 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional
 
+import numpy as np
+
 from repro.graphs.digraph import PortLabeledGraph
 from repro.routing.landmark import CowenLandmarkScheme, LandmarkAddress, LandmarkRoutingFunction
-from repro.routing.model import BaseRoutingScheme, DELIVER, LabeledRoutingFunction
+from repro.routing.model import (
+    DELIVER,
+    BaseRoutingScheme,
+    HeaderStateEvaluator,
+    LabeledRoutingFunction,
+    uses_own,
+)
 from repro.routing.spanner import greedy_spanner
 
 __all__ = [
@@ -74,6 +82,16 @@ class HierarchicalSpannerRoutingFunction(LabeledRoutingFunction):
         neighbor = self._spanner.neighbor_at_port(node, inner_port)
         return self._graph.port(node, neighbor)
 
+    def _own_decisions(self) -> bool:
+        """Whether ``P`` and ``I`` are this class's spanner translation."""
+        return uses_own(
+            self, HierarchicalSpannerRoutingFunction, "port", "address"
+        ) and uses_own(self, LabeledRoutingFunction, "initial_header")
+
+    def next_node_array(self) -> Optional[np.ndarray]:
+        """The inner function's next nodes: a spanner hop is a network hop."""
+        return self._inner.next_node_array() if self._own_decisions() else None
+
     def table_entries(self, node: int) -> Dict[int, int]:
         """Stored ``target -> port`` entries at ``node``, with network ports."""
         out: Dict[int, int] = {}
@@ -101,6 +119,14 @@ class RewritingHierarchicalSpannerRoutingFunction(HierarchicalSpannerRoutingFunc
 
     def next_header(self, node: int, header: Hashable) -> Hashable:
         return self._inner.next_header(node, header)
+
+    def header_state_evaluator(self) -> Optional[HeaderStateEvaluator]:
+        """The inner function's evaluator: states and headers are the same."""
+        if self._own_decisions() and uses_own(
+            self, RewritingHierarchicalSpannerRoutingFunction, "next_header"
+        ):
+            return self._inner.header_state_evaluator()
+        return None
 
 
 class HierarchicalSpannerScheme(BaseRoutingScheme):

@@ -29,7 +29,7 @@ from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.properties import is_tree
 from repro.graphs.shortest_paths import UNREACHABLE, distance_matrix
 from repro.routing.model import DELIVER, BaseRoutingScheme, RoutingFunction
-from repro.routing.tables import TieBreak, build_next_hop_matrix
+from repro.routing.tables import TieBreak, shortest_path_choices
 
 __all__ = [
     "cyclic_intervals_of_set",
@@ -328,17 +328,17 @@ class IntervalRoutingScheme(BaseRoutingScheme):
         if n > 1 and (dist == UNREACHABLE).any():
             raise ValueError("interval routing requires a connected graph")
         labeling = self._dfs_labeling(graph)
-        next_hop = build_next_hop_matrix(graph, tie_break=self.tie_break, dist=dist)
+        _, ports = shortest_path_choices(graph, tie_break=self.tie_break, dist=dist)
+        labels = np.array([labeling[v] for v in range(n)], dtype=np.int64)
         port_intervals: Dict[int, Dict[int, List[Interval]]] = {}
         for x in range(n):
-            by_port: Dict[int, List[int]] = {}
-            for dest in range(n):
-                if dest == x:
-                    continue
-                p = graph.port(x, int(next_hop[x, dest]))
-                by_port.setdefault(p, []).append(labeling[dest])
+            row = np.delete(ports[x], x)
+            row_labels = np.delete(labels, x)
+            # Ports in order of their first destination, as the tables list them.
+            used, first = np.unique(row, return_index=True)
             port_intervals[x] = {
-                p: cyclic_intervals_of_set(labels, n) for p, labels in by_port.items()
+                int(p): cyclic_intervals_of_set(row_labels[row == p].tolist(), n)
+                for p in used[np.argsort(first)]
             }
         return IntervalRoutingFunction(graph, labeling, port_intervals)
 

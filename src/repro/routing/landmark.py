@@ -34,14 +34,20 @@ report separates table bits from address bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.shortest_paths import UNREACHABLE, distance_matrix
-from repro.routing.model import BaseRoutingScheme, DELIVER, LabeledRoutingFunction
-from repro.routing.tables import build_next_hop_matrix
+from repro.routing.model import (
+    DELIVER,
+    BaseRoutingScheme,
+    HeaderStateEvaluator,
+    LabeledRoutingFunction,
+    uses_own,
+)
+from repro.routing.tables import shortest_path_choices
 
 __all__ = [
     "LandmarkAddress",
@@ -63,35 +69,54 @@ class LandmarkAddress:
 class LandmarkRoutingFunction(LabeledRoutingFunction):
     """Routing function of the Cowen landmark scheme.
 
+    Every decision reads one of the scheme's shortest-path arrays: a
+    stored port is the shortest-path port towards a cluster member or a
+    landmark, and the address of ``v`` carries the port its landmark uses
+    towards it.
+
     Parameters
     ----------
     graph:
         Underlying connected graph.
     landmarks:
         The landmark set (non-empty).
-    cluster_ports:
-        ``cluster_ports[u][v]`` is the port used at ``u`` towards cluster
-        member ``v`` (shortest-path port).
-    landmark_ports:
-        ``landmark_ports[u][l]`` is the port used at ``u`` towards landmark
-        ``l`` (shortest-path port); absent for ``u == l``.
-    addresses:
-        Precomputed :class:`LandmarkAddress` per destination.
+    next_hop, ports:
+        ``(n, n)`` shortest-path next hops and their ports
+        (:func:`repro.routing.tables.shortest_path_choices`).
+    cluster:
+        ``(n, n)`` boolean matrix, ``cluster[u, v]`` true when ``v`` is in
+        the cluster of ``u`` (``u`` stores a direct port for it); the
+        diagonal is false.
+    nearest:
+        ``nearest[v]`` is the landmark of ``v``'s address.
     """
 
     def __init__(
         self,
         graph: PortLabeledGraph,
         landmarks: FrozenSet[int],
-        cluster_ports: Dict[int, Dict[int, int]],
-        landmark_ports: Dict[int, Dict[int, int]],
-        addresses: Dict[int, LandmarkAddress],
+        next_hop: np.ndarray,
+        ports: np.ndarray,
+        cluster: np.ndarray,
+        nearest: np.ndarray,
     ) -> None:
         super().__init__(graph)
+        n = graph.n
         self._landmarks = landmarks
-        self._cluster_ports = cluster_ports
-        self._landmark_ports = landmark_ports
-        self._addresses = addresses
+        self._next_hop = next_hop
+        self._ports = ports
+        self._cluster = cluster
+        self._nearest = nearest
+        self._is_landmark = np.zeros(n, dtype=bool)
+        self._is_landmark[sorted(landmarks)] = True
+        self._addresses = [
+            LandmarkAddress(
+                dest=v,
+                landmark=int(nearest[v]),
+                port_at_landmark=int(ports[nearest[v], v]) if nearest[v] != v else DELIVER,
+            )
+            for v in range(n)
+        ]
 
     # ------------------------------------------------------------------
     @property
@@ -101,35 +126,59 @@ class LandmarkRoutingFunction(LabeledRoutingFunction):
 
     def cluster(self, node: int) -> Set[int]:
         """Cluster of ``node`` (the destinations it stores a direct port for)."""
-        return set(self._cluster_ports.get(node, {}))
+        return set(np.nonzero(self._cluster[node])[0].tolist())
 
     def address(self, dest: int) -> LandmarkAddress:
         """Routing address of ``dest``."""
         return self._addresses[dest]
 
     def table_entries(self, node: int) -> Dict[int, int]:
-        """All ``target -> port`` entries stored at ``node`` (cluster + landmarks)."""
-        entries = dict(self._landmark_ports.get(node, {}))
-        entries.update(self._cluster_ports.get(node, {}))
-        return entries
+        """All ``target -> port`` entries stored at ``node`` (landmarks, then cluster)."""
+        stored = self._is_landmark.copy()
+        stored[node] = False
+        targets = np.nonzero(stored)[0].tolist()
+        targets += np.nonzero(self._cluster[node] & ~stored)[0].tolist()
+        return {t: int(self._ports[node, t]) for t in targets}
 
     def local_table_size(self, node: int) -> int:
         """Number of (target, port) entries stored at ``node``."""
-        return len(self.table_entries(node))
+        stored = self._cluster[node] | self._is_landmark
+        return int(stored.sum()) - int(self._is_landmark[node])
+
+    def _stores(self, node: int, dest: int) -> bool:
+        """Whether ``node`` stores a direct port towards ``dest != node``."""
+        return bool(self._cluster[node, dest] or self._is_landmark[dest])
 
     # ------------------------------------------------------------------
     def port(self, node: int, header: LandmarkAddress) -> int:
         dest = header.dest
         if node == dest:
             return DELIVER
-        direct = self._cluster_ports.get(node, {}).get(dest)
-        if direct is not None:
-            return direct
-        if dest in self._landmark_ports.get(node, {}):
-            return self._landmark_ports[node][dest]
+        if self._stores(node, dest):
+            return int(self._ports[node, dest])
         if node == header.landmark:
             return header.port_at_landmark
-        return self._landmark_ports[node][header.landmark]
+        return int(self._ports[node, header.landmark])
+
+    def next_node_array(self) -> Optional[np.ndarray]:
+        """Next nodes by indexing: stored ports go direct, the rest via ``L(d)``.
+
+        ``where(direct | x == L(d), next_hop, next_hop[:, L])``: a router
+        storing a port for ``d`` (and ``d``'s own landmark, exiting through
+        the address port) takes its shortest-path hop towards ``d``, every
+        other router its hop towards ``d``'s landmark.
+        """
+        if not uses_own(self, LandmarkRoutingFunction, "port", "address"):
+            return None
+        n = self._graph.n
+        own = np.arange(n)
+        direct = (
+            self._cluster
+            | self._is_landmark[None, :]
+            | (own[:, None] == self._nearest[None, :])
+        )
+        direct[own, own] = True
+        return np.where(direct, self._next_hop, self._next_hop[:, self._nearest])
 
 
 class RewritingLandmarkRoutingFunction(LandmarkRoutingFunction):
@@ -162,12 +211,8 @@ class RewritingLandmarkRoutingFunction(LandmarkRoutingFunction):
         dest = int(header)  # type: ignore[call-overload]
         if node == dest:
             return DELIVER
-        direct = self._cluster_ports.get(node, {}).get(dest)
-        if direct is not None:
-            return direct
-        towards_landmark = self._landmark_ports.get(node, {}).get(dest)
-        if towards_landmark is not None:
-            return towards_landmark
+        if self._stores(node, dest):
+            return int(self._ports[node, dest])
         raise ValueError(
             f"rewriting-landmark invariant broken: node {node} stores no port "
             f"for rewritten destination {dest}"
@@ -177,13 +222,66 @@ class RewritingLandmarkRoutingFunction(LandmarkRoutingFunction):
         if not isinstance(header, LandmarkAddress):
             return header
         dest = header.dest
-        if (
-            dest in self._cluster_ports.get(node, {})
-            or dest in self._landmark_ports.get(node, {})
-            or node == header.landmark
-        ):
+        if (dest != node and self._stores(node, dest)) or node == header.landmark:
             return dest
         return header
+
+    def header_state_evaluator(self) -> Optional[HeaderStateEvaluator]:
+        """Frontier steps by indexing the scheme's arrays (:class:`_LandmarkStates`)."""
+        if not (
+            uses_own(self, RewritingLandmarkRoutingFunction, "port", "next_header")
+            and uses_own(self, LandmarkRoutingFunction, "address")
+            and uses_own(self, LabeledRoutingFunction, "initial_header")
+        ):
+            return None
+        return _LandmarkStates(self)
+
+
+class _LandmarkStates(HeaderStateEvaluator):
+    """Header-state transitions of :class:`RewritingLandmarkRoutingFunction` as arrays.
+
+    Header codes: ``d`` is the full address of ``d`` (phase 1), ``n + d``
+    the bare label ``d`` (phase 2).
+    """
+
+    def __init__(self, rf: RewritingLandmarkRoutingFunction) -> None:
+        self._rf = rf
+        self._n = rf.graph.n
+
+    def initial_codes(self) -> np.ndarray:
+        n = self._n
+        return np.broadcast_to(np.arange(n, dtype=np.int64)[None, :], (n, n))
+
+    def step(
+        self, nodes: np.ndarray, codes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rf, n = self._rf, self._n
+        bare = codes >= n
+        dest = np.where(bare, codes - n, codes)
+        deliver = nodes == dest
+        direct = rf._cluster[nodes, dest] | rf._is_landmark[dest]
+        stranded = bare & ~deliver & ~direct
+        if stranded.any():
+            i = int(np.argmax(stranded))
+            raise ValueError(
+                f"rewriting-landmark invariant broken: node {int(nodes[i])} stores no "
+                f"port for rewritten destination {int(dest[i])}"
+            )
+        # Phase 1 drops to the bare label wherever the hop is a stored
+        # shortest-path port: a direct entry, or d's landmark exiting
+        # through the address port (its hop towards d).
+        rewrite = ~bare & (direct | (nodes == rf._nearest[dest]))
+        towards = np.where(bare | rewrite, dest, rf._nearest[dest])
+        next_node = rf._next_hop[nodes, towards]
+        next_code = np.where(rewrite, codes + n, codes)
+        return deliver, next_node, next_code
+
+    def headers(self, codes: np.ndarray) -> List[Hashable]:
+        n, addresses = self._n, self._rf._addresses
+        decoded: List[Hashable] = [
+            addresses[code] if code < n else code - n for code in codes.tolist()
+        ]
+        return decoded
 
 
 class CowenLandmarkScheme(BaseRoutingScheme):
@@ -246,44 +344,20 @@ class CowenLandmarkScheme(BaseRoutingScheme):
         if n > 1 and (dist == UNREACHABLE).any():
             raise ValueError("landmark routing requires a connected graph")
         landmarks = self._pick_landmarks(graph)
-        next_hop = build_next_hop_matrix(graph, tie_break="lowest_port", dist=dist)
+        next_hop, ports = shortest_path_choices(graph, tie_break="lowest_port", dist=dist)
 
-        landmark_list = sorted(landmarks)
+        landmark_list = np.array(sorted(landmarks))
         # Nearest landmark of every vertex (ties broken towards the smallest label).
         dist_to_landmarks = dist[:, landmark_list]  # shape (n, |L|)
         nearest_idx = np.argmin(dist_to_landmarks, axis=1)
-        nearest_landmark = {v: landmark_list[int(nearest_idx[v])] for v in range(n)}
-        dist_to_nearest = {v: int(dist_to_landmarks[v, int(nearest_idx[v])]) for v in range(n)}
-
-        def port_towards(u: int, target: int) -> int:
-            return graph.port(u, int(next_hop[u, target]))
+        nearest = landmark_list[nearest_idx]
+        dist_to_nearest = dist_to_landmarks[np.arange(n), nearest_idx]
 
         # Clusters: C(u) = { v != u : d(u, v) < d(v, L) }.
-        cluster_ports: Dict[int, Dict[int, int]] = {u: {} for u in range(n)}
-        for u in range(n):
-            for v in range(n):
-                if v == u:
-                    continue
-                if dist[u, v] < dist_to_nearest[v]:
-                    cluster_ports[u][v] = port_towards(u, v)
-
-        # Every vertex stores a port towards every landmark.
-        landmark_ports: Dict[int, Dict[int, int]] = {u: {} for u in range(n)}
-        for u in range(n):
-            for l in landmark_list:
-                if l != u:
-                    landmark_ports[u][l] = port_towards(u, l)
-
-        # Addresses.
-        addresses: Dict[int, LandmarkAddress] = {}
-        for v in range(n):
-            l = nearest_landmark[v]
-            port_at_l = DELIVER if l == v else port_towards(l, v)
-            addresses[v] = LandmarkAddress(dest=v, landmark=l, port_at_landmark=port_at_l)
+        cluster = dist < dist_to_nearest[None, :]
+        np.fill_diagonal(cluster, False)
 
         function_class = (
             RewritingLandmarkRoutingFunction if self.rewriting else LandmarkRoutingFunction
         )
-        return function_class(
-            graph, landmarks, cluster_ports, landmark_ports, addresses
-        )
+        return function_class(graph, landmarks, next_hop, ports, cluster, nearest)

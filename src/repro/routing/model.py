@@ -30,8 +30,6 @@ from __future__ import annotations
 import abc
 from typing import (
     TYPE_CHECKING,
-    Any,
-    Callable,
     ClassVar,
     Dict,
     Hashable,
@@ -39,8 +37,12 @@ from typing import (
     Mapping,
     Optional,
     Protocol,
+    Tuple,
+    Union,
     runtime_checkable,
 )
+
+import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
 
@@ -49,11 +51,13 @@ if TYPE_CHECKING:  # circular at runtime: program.py imports this module
 
 __all__ = [
     "DELIVER",
+    "HeaderStateEvaluator",
     "RoutingFunction",
     "DestinationBasedRoutingFunction",
     "TableRoutingFunction",
     "LabeledRoutingFunction",
     "BaseRoutingScheme",
+    "NO_ENTRY",
     "RoutingScheme",
     "SchemeInapplicableError",
 ]
@@ -71,6 +75,46 @@ class SchemeInapplicableError(ValueError):
     cell, while the simulator's own :class:`ValueError` diagnostics (lost
     pairs, invalid ports) keep propagating as the bugs they are.
     """
+
+
+def uses_own(obj: object, owner: type, *names: str) -> bool:
+    """Whether ``type(obj)`` still runs ``owner``'s version of every method in ``names``.
+
+    The guard of the array lowering hooks: an array stands for a class's
+    own ``port``/``next_header``/... decisions, so a subclass that
+    overrides one of them gets the per-pair evaluation instead.
+    """
+    cls = type(obj)
+    return all(getattr(cls, name) is getattr(owner, name) for name in names)
+
+
+class HeaderStateEvaluator(abc.ABC):
+    """Header-state transitions of a routing function, a whole frontier at a time.
+
+    Headers are coded as integers ``>= 0``.  The closure of
+    :func:`~repro.routing.program.lower_header_state` interns
+    ``(node, header code)`` states one frontier level at a time and asks
+    the evaluator for the next level; the default per-state evaluator
+    calls ``P`` and ``H``, array-backed rewriting schemes index.
+    """
+
+    @abc.abstractmethod
+    def initial_codes(self) -> np.ndarray:
+        """``(n, n)`` header codes of ``I(x, y)``; the diagonal is never read."""
+
+    @abc.abstractmethod
+    def step(
+        self, nodes: np.ndarray, codes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(deliver, next_node, next_code)`` of the states ``(nodes[i], codes[i])``.
+
+        ``next_node``/``next_code`` are ignored where ``deliver`` is true.
+        Raises :class:`ValueError` on an invalid decision.
+        """
+
+    @abc.abstractmethod
+    def headers(self, codes: np.ndarray) -> List[Hashable]:
+        """The header objects coded as ``codes``."""
 
 
 class RoutingFunction(abc.ABC):
@@ -132,6 +176,29 @@ class RoutingFunction(abc.ABC):
         from repro.routing.program import lower
 
         return lower(self, max_states=max_states)
+
+    def next_node_array(self) -> Optional[np.ndarray]:
+        """The ``(n, n)`` next-node matrix, when the decisions are already arrays.
+
+        ``next_node[x, dest]`` is the neighbour a message for ``dest``
+        moves to from ``x`` (``dest`` itself on the diagonal).  Header-
+        constant classes that keep their decisions in arrays return it so
+        :func:`~repro.routing.program.lower_next_hop` can skip evaluating
+        ``P`` pair by pair; ``None`` (the default, and the answer of any
+        subclass that overrides the decision methods the array stands for)
+        keeps that per-pair evaluation.
+        """
+        return None
+
+    def header_state_evaluator(self) -> Optional["HeaderStateEvaluator"]:
+        """Array form of the header-state transitions, when the class has one.
+
+        ``None`` (the default) makes
+        :func:`~repro.routing.program.lower_header_state` evaluate ``P`` and
+        ``H`` state by state; rewriting classes whose decisions are arrays
+        return an evaluator that steps a whole frontier by indexing.
+        """
+        return None
 
     @abc.abstractmethod
     def initial_header(self, source: int, dest: int) -> Hashable:
@@ -214,6 +281,38 @@ class DestinationBasedRoutingFunction(RoutingFunction):
         }
 
 
+#: Entry of a table port matrix with no stored port (the table is missing
+#: the destination); never a valid port, since ports are ``1..deg``.
+NO_ENTRY = -1
+
+
+def _port_matrix(n: int, tables: Mapping[int, Mapping[int, int]]) -> np.ndarray:
+    """``(n, n)`` port matrix of a ``tables[x][dest]`` mapping.
+
+    Missing entries hold :data:`NO_ENTRY`, the diagonal :data:`DELIVER`.
+    Raises :class:`ValueError` on any vertex or destination key outside
+    ``0..n-1`` and on self-entries: numpy would otherwise wrap a negative
+    key onto another column (or let a self-entry shadow the diagonal).
+    """
+    ports = np.full((n, n), NO_ENTRY, dtype=np.int64)
+    for x, table in tables.items():
+        x = int(x)
+        if not 0 <= x < n:
+            raise ValueError(f"routing table for vertex {x} outside 0..{n - 1}")
+        dests = np.fromiter(table.keys(), count=len(table), dtype=np.int64)
+        outside = (dests < 0) | (dests >= n)
+        if outside.any():
+            raise ValueError(
+                f"routing table of vertex {x} has destination {int(dests[outside][0])} "
+                f"outside 0..{n - 1}"
+            )
+        if (dests == x).any():
+            raise ValueError(f"routing table of vertex {x} contains a self-entry")
+        ports[x, dests] = np.fromiter(table.values(), count=len(table), dtype=np.int64)
+    np.fill_diagonal(ports, DELIVER)
+    return ports
+
+
 class TableRoutingFunction(DestinationBasedRoutingFunction):
     """Destination-based routing function backed by explicit per-node tables.
 
@@ -222,52 +321,101 @@ class TableRoutingFunction(DestinationBasedRoutingFunction):
     graph:
         The underlying graph.
     tables:
-        ``tables[x][dest]`` is the output port used at ``x`` for destination
-        ``dest``; every node must have an entry for every other vertex.
+        Either a mapping, ``tables[x][dest]`` being the output port used at
+        ``x`` for destination ``dest``, or the ``(n, n)`` port matrix
+        itself (diagonal ignored, :data:`NO_ENTRY` for a missing entry).
+        Every node must have an entry for every other vertex; keys outside
+        ``0..n-1`` and self-entries raise :class:`ValueError` even without
+        validation.
     validate:
         When true (default), table completeness and port validity are checked
-        eagerly.
+        eagerly; otherwise on lowering.
     """
 
     def __init__(
         self,
         graph: PortLabeledGraph,
-        tables: Mapping[int, Mapping[int, int]],
+        tables: Union[Mapping[int, Mapping[int, int]], np.ndarray],
         validate: bool = True,
     ) -> None:
         super().__init__(graph)
-        self._tables: Dict[int, Dict[int, int]] = {
-            int(x): {int(d): int(p) for d, p in t.items()} for x, t in tables.items()
-        }
+        n = graph.n
+        if isinstance(tables, np.ndarray):
+            if tables.shape != (n, n):
+                raise ValueError(f"port matrix has shape {tables.shape}, expected {(n, n)}")
+            ports = np.array(tables, dtype=np.int64)
+            np.fill_diagonal(ports, DELIVER)
+        else:
+            ports = _port_matrix(n, tables)
+        ports.flags.writeable = False
+        self._ports = ports
         if validate:
-            self._validate()
+            self._check()
 
-    def _validate(self) -> None:
+    def _check(self) -> None:
+        """Raise on the first router (in vertex order) with a missing entry or invalid port."""
         n = self._graph.n
-        for x in range(n):
-            table = self._tables.get(x)
-            if table is None:
-                raise ValueError(f"missing routing table for vertex {x}")
-            for dest in range(n):
-                if dest == x:
-                    continue
-                if dest not in table:
-                    raise ValueError(f"vertex {x} has no table entry for destination {dest}")
-                port = table[dest]
-                if not 1 <= port <= self._graph.degree(x):
-                    raise ValueError(
-                        f"vertex {x} routes to destination {dest} through invalid port {port}"
-                    )
+        off = ~np.eye(n, dtype=bool)
+        degrees = np.diff(self._graph.adjacency_arrays()[0])
+        missing = off & (self._ports == NO_ENTRY)
+        invalid = off & ((self._ports < 1) | (self._ports > degrees[:, None]))
+        bad_rows = missing.any(axis=1) | invalid.any(axis=1)
+        if not bad_rows.any():
+            return
+        x = int(np.argmax(bad_rows))
+        if missing[x].any():
+            raise ValueError(
+                f"routing table of vertex {x} has {n - 1 - int(missing[x].sum())} "
+                f"entries, expected {n - 1} (one per other vertex)"
+            )
+        dest = int(np.argmax(invalid[x]))
+        raise ValueError(
+            f"vertex {x} routes to destination {dest} through invalid port "
+            f"{int(self._ports[x, dest])} (degree {int(degrees[x])})"
+        )
+
+    @property
+    def port_matrix(self) -> np.ndarray:
+        """Read-only ``(n, n)`` matrix of the stored ports (diagonal :data:`DELIVER`)."""
+        return self._ports
 
     def port_to(self, node: int, dest: int) -> int:
-        return self._tables[node][dest]
+        port = int(self._ports[node, dest])
+        if port == NO_ENTRY:
+            raise KeyError(f"vertex {node} has no table entry for destination {dest}")
+        return port
 
     def local_map(self, node: int) -> Dict[int, int]:
-        return dict(self._tables[node])
+        return {
+            dest: port
+            for dest, port in enumerate(self._ports[node].tolist())
+            if dest != node and port != NO_ENTRY
+        }
 
     def table(self, node: int) -> Dict[int, int]:
         """Alias of :meth:`local_map` matching the routing-table vocabulary."""
         return self.local_map(node)
+
+    def next_node_array(self) -> Optional[np.ndarray]:
+        """The port matrix translated to next nodes through the adjacency arrays.
+
+        An unvalidated table may be malformed: the first router (in vertex
+        order) with a missing entry or an invalid port raises the specific
+        :class:`ValueError` instead of corrupting the matrix.
+        """
+        if not uses_own(self, TableRoutingFunction, "port", "port_to"):
+            return None
+        n = self._graph.n
+        own = np.arange(n)
+        if n < 2:
+            return own[:, None].copy()
+        self._check()
+        indptr, indices = self._graph.adjacency_arrays()
+        slots = indptr[:-1, None] + self._ports - 1
+        slots[own, own] = 0  # the diagonal delivers; any valid slot will do
+        next_node = indices[slots]
+        next_node[own, own] = own
+        return next_node
 
 
 class LabeledRoutingFunction(RoutingFunction):

@@ -52,13 +52,14 @@ from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Tuple, Un
 import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
+from repro.graphs.shortest_paths import UNREACHABLE, distance_matrix, distance_rows
 from repro.routing.model import (
     DELIVER,
     DestinationBasedRoutingFunction,
+    HeaderStateEvaluator,
     RoutingFunction,
     RoutingScheme,
     SchemeInapplicableError,
-    TableRoutingFunction,
 )
 
 if TYPE_CHECKING:  # circular at runtime: repro.sim imports this module
@@ -794,44 +795,24 @@ def lower_next_hop(rf: RoutingFunction) -> NextHopProgram:
     so the simulated message passes through exactly as the legacy
     interpreter would.  Raises :class:`ValueError` on invalid ports, like
     the legacy simulator (but eagerly, for every pair at once).
+
+    A function whose decisions are already arrays hands its next-node
+    matrix over (:meth:`~repro.routing.model.RoutingFunction.next_node_array`);
+    any other function is evaluated pair by pair.
     """
     graph = rf.graph
     n = graph.n
-    next_node = np.empty((n, n), dtype=transition_dtype(n))
+    dtype = transition_dtype(n)
+    given = rf.next_node_array()
+    if given is not None:
+        return NextHopProgram(next_node=np.asarray(given).astype(dtype))
+    next_node = np.empty((n, n), dtype=dtype)
     diag = np.arange(n)
     next_node[diag, diag] = diag
     if n < 2:
         return NextHopProgram(next_node=next_node)
     indptr, indices = graph.adjacency_arrays()
     degrees = np.diff(indptr)
-
-    if type(rf).port is DestinationBasedRoutingFunction.port and isinstance(
-        rf, TableRoutingFunction
-    ):
-        # Tables are already the dest -> port map; skip the port() dispatch.
-        # An unvalidated table (validate=False) may be malformed, so check
-        # completeness eagerly with a specific error instead of corrupting
-        # the diagonal or reporting a nonsensical port.
-        for x in range(n):
-            table = rf.local_map(x)
-            if x in table:
-                raise ValueError(f"routing table of vertex {x} contains a self-entry")
-            if len(table) != n - 1:
-                raise ValueError(
-                    f"routing table of vertex {x} has {len(table)} entries, "
-                    f"expected {n - 1} (one per other vertex)"
-                )
-            dests = np.fromiter(table.keys(), count=len(table), dtype=np.int64)
-            ports = np.fromiter(table.values(), count=len(table), dtype=np.int64)
-            invalid = (ports < 1) | (ports > degrees[x])
-            if invalid.any():
-                raise ValueError(
-                    f"routing function used invalid port {int(ports[invalid][0])} "
-                    f"at vertex {x} (degree {degrees[x]})"
-                )
-            next_node[x, dests] = indices[indptr[x] + ports - 1]
-        return NextHopProgram(next_node=next_node)
-
     # Skipping P at the destination is only sound when the base
     # destination-based implementation (which hard-codes DELIVER there) is
     # in force; a subclass overriding port() gets evaluated at its own
@@ -856,94 +837,185 @@ def lower_next_hop(rf: RoutingFunction) -> NextHopProgram:
     return NextHopProgram(next_node=next_node)
 
 
-def lower_header_state(
-    rf: RoutingFunction, max_states: Optional[int] = None
-) -> HeaderStateProgram:
-    """Enumerate the reachable header alphabet and compile transition arrays.
+class _PerStateEvaluator(HeaderStateEvaluator):
+    """The default header-state evaluator: ``P`` and ``H`` called state by state.
 
-    Starting from the ``n * (n - 1)`` initial states ``(x, I(x, y))``, the
-    closure under ``(node, h) -> (neighbour at P(node, h), H(node, h))`` is
-    explored once; every state pays exactly one ``P`` (and at most one
-    ``H``) evaluation, after which simulation is pure integer indexing.
-    ``max_states`` caps the exploration (default ``1024 + 64 * n^2``)
-    against schemes whose ``can_vectorize`` promise is broken — exceeding
-    it raises :class:`HeaderStateExplosionError`.  Invalid ports raise the
-    legacy :class:`ValueError`.
+    Codes are assigned to headers in order of first appearance, so any
+    hashable header alphabet works; this is the path of arbitrary user
+    routing functions.
     """
-    graph = rf.graph
-    n = graph.n
-    if max_states is None:
-        max_states = 1024 + 64 * n * n
 
-    state_id: Dict[Tuple[int, Hashable], int] = {}
-    nodes: List[int] = []
-    headers: List[Hashable] = []
+    def __init__(self, rf: RoutingFunction) -> None:
+        self._rf = rf
+        self._code_of: Dict[Hashable, int] = {}
+        self._headers: List[Hashable] = []
 
-    def intern(node: int, header: Hashable) -> int:
-        key = (node, header)
-        sid = state_id.get(key)
-        if sid is None:
-            sid = len(nodes)
-            if sid >= max_states:
-                raise HeaderStateExplosionError(
-                    f"{type(rf).__name__} reached {max_states} (node, header) states "
-                    f"on a {n}-vertex graph; its can_vectorize promise of a finite "
-                    "header alphabet looks broken — use method='generic'"
-                )
-            state_id[key] = sid
-            nodes.append(node)
-            headers.append(header)
-        return sid
+    def _code(self, header: Hashable) -> int:
+        code = self._code_of.get(header)
+        if code is None:
+            code = self._code_of[header] = len(self._headers)
+            self._headers.append(header)
+        return code
 
-    # Interned ids are assigned while states are still being discovered, so
-    # the scratch matrix is int64; it is cast to the state-domain dtype
-    # once the alphabet is closed (below).
-    initial = np.full((n, n), -1, dtype=np.int64)
-    for dest in range(n):
-        for src in range(n):
-            if src != dest:
-                initial[src, dest] = intern(src, rf.initial_header(src, dest))
+    def initial_codes(self) -> np.ndarray:
+        n = self._rf.graph.n
+        codes = np.zeros((n, n), dtype=np.int64)
+        initial_header = self._rf.initial_header
+        for dest in range(n):
+            for src in range(n):
+                if src != dest:
+                    codes[src, dest] = self._code(initial_header(src, dest))
+        return codes
 
-    port_fn = rf.port
-    next_header = rf.next_header
-    neighbor_at_port = graph.neighbor_at_port
-    succ: List[int] = []
-    deliver: List[bool] = []
-    idx = 0
-    while idx < len(nodes):  # intern() appends newly discovered states
-        node, header = nodes[idx], headers[idx]
-        port = port_fn(node, header)
-        if port == DELIVER:
-            succ.append(idx)
-            deliver.append(True)
-        else:
+    def step(
+        self, nodes: np.ndarray, codes: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rf = self._rf
+        graph = rf.graph
+        deliver: List[bool] = []
+        next_node: List[int] = []
+        next_code: List[int] = []
+        for node, code in zip(nodes.tolist(), codes.tolist()):
+            header = self._headers[code]
+            port = rf.port(node, header)
+            if port == DELIVER:
+                deliver.append(True)
+                next_node.append(node)
+                next_code.append(code)
+                continue
             try:
-                nxt = neighbor_at_port(node, port)
+                nxt = graph.neighbor_at_port(node, port)
             except KeyError as exc:
                 raise ValueError(
                     f"routing function used invalid port {port} at vertex {node} "
                     f"(degree {graph.degree(node)})"
                 ) from exc
-            succ.append(intern(nxt, next_header(node, header)))
             deliver.append(False)
-        idx += 1
+            next_node.append(nxt)
+            next_code.append(self._code(rf.next_header(node, header)))
+        return (
+            np.asarray(deliver, dtype=bool),
+            np.asarray(next_node, dtype=np.int64),
+            np.asarray(next_code, dtype=np.int64),
+        )
 
-    sdt = transition_dtype(len(nodes))
-    succ_arr = np.asarray(succ, dtype=sdt)
-    deliver_arr = np.asarray(deliver, dtype=bool)
-    node_arr = np.asarray(nodes, dtype=transition_dtype(n))
+    def headers(self, codes: np.ndarray) -> List[Hashable]:
+        return [self._headers[code] for code in codes.tolist()]
+
+
+class _StateTable:
+    """Interned ``(node, header code)`` states, numbered by first occurrence."""
+
+    def __init__(self, n: int, max_states: int, owner: str) -> None:
+        self._n = n
+        self._max_states = max_states
+        self._owner = owner
+        self._keys = np.zeros(0, dtype=np.int64)  # sorted state keys
+        self._ids = np.zeros(0, dtype=np.int64)  # id of each sorted key
+        self.size = 0
+
+    def intern(self, nodes: np.ndarray, codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Ids of the states ``(nodes[i], codes[i])``, numbering new ones in order.
+
+        Returns ``(ids, fresh)`` where ``fresh`` indexes, in id order, the
+        first occurrence of every state this call created — exactly the
+        numbering of a loop interning the states one at a time.
+        """
+        keys = codes * self._n + nodes
+        uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        pos = np.searchsorted(self._keys, uniq)
+        known = pos < self._keys.size
+        known[known] = self._keys[pos[known]] == uniq[known]
+        ids = np.empty(uniq.size, dtype=np.int64)
+        ids[known] = self._ids[pos[known]]
+        new = np.nonzero(~known)[0]  # ascending key order, for the sorted insert
+        numbered = new[np.argsort(first[new], kind="stable")]
+        if self.size + new.size > self._max_states:
+            raise HeaderStateExplosionError(
+                f"{self._owner} reached {self._max_states} (node, header) states "
+                f"on a {self._n}-vertex graph; its can_vectorize promise of a finite "
+                "header alphabet looks broken — use method='generic'"
+            )
+        ids[numbered] = self.size + np.arange(new.size)
+        self.size += new.size
+        self._keys = np.insert(self._keys, pos[new], uniq[new])
+        self._ids = np.insert(self._ids, pos[new], ids[new])
+        return ids[inverse.reshape(-1)], first[numbered]
+
+
+def lower_header_state(
+    rf: RoutingFunction, max_states: Optional[int] = None
+) -> HeaderStateProgram:
+    """Enumerate the reachable header alphabet and compile transition arrays.
+
+    Starting from the ``n * (n - 1)`` initial states ``(x, I(x, y))``
+    (destination-major), the closure under ``(node, h) -> (neighbour at
+    P(node, h), H(node, h))`` is explored one frontier level at a time:
+    every state is evaluated once, and the states a level discovers are
+    numbered by first occurrence, after which simulation is pure integer
+    indexing.  The evaluator is the function's own array form
+    (:meth:`~repro.routing.model.RoutingFunction.header_state_evaluator`)
+    or, by default, ``P`` and ``H`` called per state.  ``max_states`` caps
+    the exploration (default ``1024 + 64 * n^2``) against schemes whose
+    ``can_vectorize`` promise is broken — exceeding it raises
+    :class:`HeaderStateExplosionError`.  Invalid ports raise the legacy
+    :class:`ValueError`.
+    """
+    graph = rf.graph
+    n = graph.n
+    if max_states is None:
+        max_states = 1024 + 64 * n * n
+    evaluator = rf.header_state_evaluator() or _PerStateEvaluator(rf)
+    table = _StateTable(n, max_states, type(rf).__name__)
+
+    dests, srcs = np.nonzero(~np.eye(n, dtype=bool))
+    codes = np.asarray(evaluator.initial_codes(), dtype=np.int64)[srcs, dests]
+    ids, fresh = table.intern(srcs, codes)
+    # Interned ids are assigned while states are still being discovered, so
+    # the scratch matrix is int64; it is cast to the state-domain dtype
+    # once the alphabet is closed (below).
+    initial = np.full((n, n), -1, dtype=np.int64)
+    initial[srcs, dests] = ids
+    frontier_nodes, frontier_codes = srcs[fresh], codes[fresh]
+
+    node_parts: List[np.ndarray] = []
+    code_parts: List[np.ndarray] = []
+    succ_parts: List[np.ndarray] = []
+    deliver_parts: List[np.ndarray] = []
+    while frontier_nodes.size:
+        start = table.size - frontier_nodes.size
+        deliver, next_node, next_code = evaluator.step(frontier_nodes, frontier_codes)
+        deliver = np.asarray(deliver, dtype=bool)
+        moving = ~deliver
+        succ = np.arange(start, start + frontier_nodes.size, dtype=np.int64)
+        moved_nodes = np.asarray(next_node, dtype=np.int64)[moving]
+        moved_codes = np.asarray(next_code, dtype=np.int64)[moving]
+        succ[moving], fresh = table.intern(moved_nodes, moved_codes)
+        node_parts.append(frontier_nodes)
+        code_parts.append(frontier_codes)
+        succ_parts.append(succ)
+        deliver_parts.append(deliver)
+        frontier_nodes, frontier_codes = moved_nodes[fresh], moved_codes[fresh]
+
+    def _cat(parts: List[np.ndarray], dtype: Any) -> np.ndarray:
+        return np.concatenate(parts).astype(dtype) if parts else np.zeros(0, dtype=dtype)
+
+    sdt = transition_dtype(table.size)
+    succ_arr = _cat(succ_parts, sdt)
+    deliver_arr = _cat(deliver_parts, bool)
+    headers = tuple(evaluator.headers(_cat(code_parts, np.int64)))
 
     return HeaderStateProgram(
         succ=succ_arr,
         deliver=deliver_arr,
-        node_of=node_arr,
+        node_of=_cat(node_parts, transition_dtype(n)),
         # Exact hops-to-delivery over the functional transition graph;
         # states that never reach a delivering state cycle forever — the
         # provable livelocks, stored in the state-domain dtype (hops are
         # bounded by the state count).
         hops_to_deliver=functional_hops(succ_arr, deliver_arr).astype(sdt),
         initial=initial.astype(sdt),
-        headers=tuple(headers),
+        headers=headers,
     )
 
 
@@ -1025,38 +1097,59 @@ class DeltaResult:
 #: when two of them and a hop are summed.
 _DIST_INF = np.int64(1) << 40
 
-#: Matches :data:`repro.graphs.shortest_paths.UNREACHABLE` without the
-#: import cycle (shortest_paths is graph-layer, this module routing-layer;
-#: both pin the value in their tests).
-_UNREACHABLE = -1
+def _relax_added(work: np.ndarray, added: List[Tuple[int, int]], cols: Any) -> int:
+    """Relax ``work[:, cols]`` over the added edges to a fixpoint, in place.
 
-
-def _bfs_columns(graph: PortLabeledGraph, sources: np.ndarray) -> np.ndarray:
-    """BFS distance rows from ``sources``, batched through scipy when present.
-
-    Returns an ``(len(sources), n)`` int64 array with ``_UNREACHABLE`` for
-    unreachable pairs.  One scipy call replaces ``len(sources)`` Python-level
-    BFS traversals — the difference between a removal delta that beats a
-    recompile and one that merely matches it — with the pure-Python
-    per-column walk kept as the dependency-free fallback.
+    ``d(x, y) <- min(d(x, y), d(x, a) + 1 + d(b, y))`` for every added
+    edge ``{a, b}`` in both directions; ``work`` holds ``_DIST_INF`` for
+    unreachable pairs.  Returns the number of sweeps that improved an
+    entry.
     """
-    try:
-        from scipy.sparse.csgraph import dijkstra
-    except ImportError:
-        from repro.graphs.shortest_paths import bfs_distances
+    rounds = 0
+    while True:
+        progressed = False
+        for u, v in added:
+            for a, b in ((u, v), (v, u)):
+                cand = work[:, a, None] + 1 + work[None, b, cols]
+                current = work[:, cols]
+                better = cand < current
+                if better.any():
+                    progressed = True
+                    work[:, cols] = np.where(better, cand, current)
+        if not progressed:
+            return rounds
+        rounds += 1
 
-        return np.stack(
-            [
-                np.asarray(bfs_distances(graph, int(t)), dtype=np.int64)
-                for t in sources
-            ]
-        )
-    raw = dijkstra(graph.csr_adjacency(), unweighted=True, indices=sources)
-    raw = np.atleast_2d(raw)
-    out = np.full(raw.shape, _UNREACHABLE, dtype=np.int64)
-    finite = np.isfinite(raw)
-    out[finite] = raw[finite].astype(np.int64)
-    return out
+
+def _orphaned_columns(
+    graph_after: PortLabeledGraph,
+    dist_before: np.ndarray,
+    added: List[Tuple[int, int]],
+    removed: List[Tuple[int, int]],
+    columns: np.ndarray,
+) -> np.ndarray:
+    """Which of ``columns`` lose distances to the removal, not just shortest paths.
+
+    In ``H = graph_before - removed`` a column ``t`` keeps every distance
+    iff each endpoint of a removed edge that is not ``t`` (and reaches it)
+    still has an ``H``-neighbour one hop closer to ``t``: every other
+    vertex kept all its edges, so by induction on the distance every
+    vertex keeps a shortest path.  Edges added by the same change are not
+    in ``H``.
+    """
+    indptr, indices = graph_after.adjacency_arrays()
+    new_partners: Dict[int, set] = {}
+    for u, v in added:
+        new_partners.setdefault(u, set()).add(v)
+        new_partners.setdefault(v, set()).add(u)
+    orphaned = np.zeros(columns.size, dtype=bool)
+    for x in sorted({x for edge in removed for x in edge}):
+        partners = new_partners.get(x, set())
+        kept = [w for w in indices[indptr[x] : indptr[x + 1]].tolist() if w not in partners]
+        level = dist_before[x, columns]
+        closer = dist_before[np.asarray(kept, dtype=np.int64)][:, columns] == level - 1
+        orphaned |= (level > 0) & ~closer.any(axis=0)
+    return orphaned
 
 
 def incremental_distance_matrix(
@@ -1076,9 +1169,16 @@ def incremental_distance_matrix(
 
     * **Removals** invalidate only the destination columns some removed
       edge had a shortest path through (``|d(u, t) - d(v, t)| == 1`` — the
-      affected-destination frontier); those columns are rebuilt by one
-      targeted BFS each on ``graph_after``.  Every other column is provably
-      untouched by the removal (all its shortest-path DAGs survive).
+      affected-destination frontier, counted as ``recomputed_columns``);
+      those columns (and their symmetric rows) are re-derived exactly for
+      ``graph_after``.  Every other column is provably untouched by the
+      removal (all its shortest-path DAGs survive).  A frontier column
+      whose distances the removal actually changes — some endpoint lost
+      its last shortest-path neighbour (:func:`_orphaned_columns`) — is
+      rebuilt by one batched
+      :func:`~repro.graphs.shortest_paths.distance_rows` call on
+      ``graph_after``; the rest keep their distances and only need the
+      added edges relaxed into them.
     * **Additions** then run a vectorised relaxation ``d(x, y) <- min(d(x,
       y), d(x, u) + 1 + d(v, y))`` over the added edges to a fixpoint; the
       sweep count is the steps-to-reconvergence metric (a shortest path
@@ -1088,32 +1188,32 @@ def incremental_distance_matrix(
     n = graph_after.n
     d = np.array(dist_before, dtype=np.int64, copy=True)
     recomputed = 0
+    work: Optional[np.ndarray] = None
     if removed:
         affected = np.zeros(n, dtype=bool)
         for u, v in removed:
             affected |= np.abs(d[u, :] - d[v, :]) == 1
         sources = np.nonzero(affected)[0]
         if sources.size:
-            cols = _bfs_columns(graph_after, sources)
-            d[:, sources] = cols.T
-            d[sources, :] = cols
+            orphaned = _orphaned_columns(graph_after, d, added, removed, sources)
+            rebuild, keep = sources[orphaned], sources[~orphaned]
+            if rebuild.size:
+                cols = distance_rows(graph_after, rebuild)
+                d[:, rebuild] = cols.T
+                d[rebuild, :] = cols
+            if keep.size and added:
+                # Make the kept frontier columns exact for graph_after too
+                # (uncounted: the frontier is rebuilt, not reconverged).
+                work = np.where(d == UNREACHABLE, _DIST_INF, d)
+                _relax_added(work, added, keep)
+                work[keep, :] = work[:, keep].T
             recomputed = int(sources.size)
     rounds = 0
     if added:
-        work = np.where(d == _UNREACHABLE, _DIST_INF, d)
-        while True:
-            progressed = False
-            for u, v in added:
-                for a, b in ((u, v), (v, u)):
-                    cand = work[:, a, None] + 1 + work[None, b, :]
-                    better = cand < work
-                    if better.any():
-                        progressed = True
-                        work[better] = cand[better]
-            if not progressed:
-                break
-            rounds += 1
-        d = np.where(work >= _DIST_INF, np.int64(_UNREACHABLE), work)
+        if work is None:
+            work = np.where(d == UNREACHABLE, _DIST_INF, d)
+        rounds = _relax_added(work, added, slice(None))
+        d = np.where(work >= _DIST_INF, np.int64(UNREACHABLE), work)
     return d, rounds, recomputed
 
 
@@ -1227,9 +1327,9 @@ def apply_delta(
       frontier propagated one hop (the next-hop choice reads exactly those
       distances).
 
-    Only dirty entries are recomputed (replicating
-    :func:`repro.routing.tables.build_next_hop_matrix`'s tie-break
-    vectorised per row); distances themselves are maintained by
+    Only dirty entries are recomputed (the tie-break pass
+    :func:`repro.routing.tables.shortest_path_choices` over the dirty
+    rows); distances themselves are maintained by
     :func:`incremental_distance_matrix`.  Everything else — other schemes,
     header-state/generic programs, vertex-count changes, dirty sets above
     ``dirty_threshold`` (a fraction of the off-diagonal entries), or a
@@ -1248,7 +1348,7 @@ def apply_delta(
     the first offending pair; the recompile/unchanged paths return fresh or
     untouched compiles and are not re-proven.
     """
-    from repro.routing.tables import ShortestPathTableScheme
+    from repro.routing.tables import ShortestPathTableScheme, shortest_path_choices
 
     if graph_before.n != program.n:
         raise ValueError(
@@ -1297,13 +1397,11 @@ def apply_delta(
     removed = sorted(before_edges - after_edges)
 
     if dist_before is None:
-        from repro.graphs.shortest_paths import distance_matrix
-
         dist_before = distance_matrix(graph_before)
     dist_after, rounds, recomputed = incremental_distance_matrix(
         graph_after, dist_before, added, removed
     )
-    if n > 1 and (dist_after == _UNREACHABLE).any():
+    if n > 1 and (dist_after == UNREACHABLE).any():
         # The change disconnected the graph: a fresh build would refuse, and
         # the delta must be indistinguishable from it.
         return _recompiled()
@@ -1327,26 +1425,12 @@ def apply_delta(
         return _recompiled()
     dirty_destinations = int(dirty.any(axis=0).sum())
 
-    tie_break = scheme.tie_break
+    rows = np.nonzero(dirty.any(axis=1))[0]
+    chosen, _ = shortest_path_choices(
+        graph_after, tie_break=scheme.tie_break, dist=dist_after, rows=rows
+    )
     next_node = np.array(program.next_node, copy=True)  # mmap views are read-only
-    indptr, indices = graph_after.adjacency_arrays()
-    for x in np.nonzero(dirty.any(axis=1))[0]:
-        dests = np.nonzero(dirty[x])[0]
-        nbrs = indices[indptr[x] : indptr[x + 1]]  # port order: port k+1 = nbrs[k]
-        on_shortest = dist_after[nbrs[:, None], dests[None, :]] == (
-            dist_after[x, dests] - 1
-        )
-        if tie_break == "lowest_port":
-            pick = on_shortest.argmax(axis=0)
-        elif tie_break == "highest_port":
-            pick = on_shortest.shape[0] - 1 - on_shortest[::-1].argmax(axis=0)
-        elif tie_break == "lowest_neighbor":
-            pick = np.where(on_shortest, nbrs[:, None], np.iinfo(np.int64).max).argmin(
-                axis=0
-            )
-        else:  # pragma: no cover - guarded by ShortestPathTableScheme
-            raise ValueError(f"unknown tie break rule {tie_break!r}")
-        next_node[x, dests] = nbrs[pick].astype(next_node.dtype)
+    next_node[rows] = np.where(dirty[rows], chosen, next_node[rows])
 
     patched = program.with_next_node(next_node)
     if faults is not None:

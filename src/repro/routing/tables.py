@@ -15,17 +15,71 @@ benefits from the ``lowest_port`` rule on ring-like graphs).
 
 from __future__ import annotations
 
-from typing import Dict, Literal, Optional
+from typing import Literal, Optional, Tuple, get_args
 
 import numpy as np
 
 from repro.graphs.digraph import PortLabeledGraph
-from repro.graphs.shortest_paths import UNREACHABLE, bfs_distances, distance_matrix
-from repro.routing.model import BaseRoutingScheme, TableRoutingFunction
+from repro.graphs.shortest_paths import UNREACHABLE, distance_matrix
+from repro.routing.model import DELIVER, BaseRoutingScheme, TableRoutingFunction
 
-__all__ = ["ShortestPathTableScheme", "build_next_hop_matrix"]
+__all__ = ["ShortestPathTableScheme", "build_next_hop_matrix", "shortest_path_choices"]
 
 TieBreak = Literal["lowest_neighbor", "lowest_port", "highest_port"]
+
+
+def shortest_path_choices(
+    graph: PortLabeledGraph,
+    tie_break: TieBreak = "lowest_port",
+    dist: Optional[np.ndarray] = None,
+    rows: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The tie-broken shortest-path choice of every ``(x, dest)``: next hops and ports.
+
+    Returns ``(next_hop, ports)``: ``next_hop[x, dest]`` is the neighbour of
+    ``x`` chosen among those on a shortest path to ``dest`` and
+    ``ports[x, dest]`` the port it sits behind.  The diagonal holds ``x``
+    and :data:`~repro.routing.model.DELIVER`; unreachable destinations hold
+    ``-1`` in both.  ``rows`` restricts the computation to those routers
+    (the result then has one row per entry of ``rows``), which is how the
+    churn delta re-decides its dirty rows.
+
+    One pass over the port index ``k``: step ``k`` compares, for every
+    router of degree above ``k``, the distances of its port-``k + 1``
+    neighbour with its own, so the work is ``O(max_degree * n^2)`` numpy
+    operations in ``O(n^2)`` memory.  The rules: ``lowest_port`` keeps the
+    first port on a shortest path, ``highest_port`` the last, and
+    ``lowest_neighbor`` the smallest neighbour label.
+    """
+    if tie_break not in get_args(TieBreak):
+        raise ValueError(f"unknown tie break rule {tie_break!r}")
+    n = graph.n
+    if dist is None:
+        dist = distance_matrix(graph)
+    rows = np.arange(n) if rows is None else np.asarray(rows, dtype=np.int64)
+    indptr, indices = graph.adjacency_arrays()
+    degrees = np.diff(indptr)[rows]
+    # A neighbour is on a shortest path iff it is one hop closer; an
+    # unreachable destination (-1) asks for -2, which no distance equals.
+    wanted = dist[rows] - 1
+    next_hop = np.full((rows.size, n), UNREACHABLE, dtype=np.int64)
+    ports = np.full((rows.size, n), UNREACHABLE, dtype=np.int64)
+    for k in range(int(degrees.max(initial=0))):
+        live = np.nonzero(degrees > k)[0]
+        sub = slice(None) if live.size == rows.size else live
+        nbr = indices[indptr[rows[live]] + k]
+        take = dist[nbr] == wanted[sub]
+        current = next_hop[sub]
+        if tie_break == "lowest_port":
+            take &= current == UNREACHABLE
+        elif tie_break == "lowest_neighbor":
+            take &= (current == UNREACHABLE) | (nbr[:, None] < current)
+        next_hop[sub] = np.where(take, nbr[:, None], current)
+        ports[sub] = np.where(take, k + 1, ports[sub])
+    own = np.arange(rows.size)
+    next_hop[own, rows] = rows
+    ports[own, rows] = DELIVER
+    return next_hop, ports
 
 
 def build_next_hop_matrix(
@@ -36,39 +90,9 @@ def build_next_hop_matrix(
     """Next-hop matrix ``next_hop[x, dest]`` of one shortest-path routing.
 
     ``next_hop[x, x] = x``; entries for unreachable destinations are ``-1``.
-
-    The computation runs one BFS per destination and picks, among the
-    neighbours of ``x`` lying on a shortest path to ``dest``, the one
-    selected by ``tie_break``.
+    The next-hop half of :func:`shortest_path_choices`.
     """
-    n = graph.n
-    next_hop = np.full((n, n), -1, dtype=np.int64)
-    np.fill_diagonal(next_hop, np.arange(n))
-    if dist is None:
-        dist = distance_matrix(graph)
-    for dest in range(n):
-        dist_to_dest = dist[:, dest]
-        for x in range(n):
-            if x == dest or dist_to_dest[x] == UNREACHABLE:
-                continue
-            best_neighbor = -1
-            best_key = None
-            for v in graph.neighbors(x):
-                if dist_to_dest[v] != dist_to_dest[x] - 1:
-                    continue
-                if tie_break == "lowest_neighbor":
-                    key = v
-                elif tie_break == "lowest_port":
-                    key = graph.port(x, v)
-                elif tie_break == "highest_port":
-                    key = -graph.port(x, v)
-                else:  # pragma: no cover - guarded by the Literal type
-                    raise ValueError(f"unknown tie break rule {tie_break!r}")
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_neighbor = v
-            next_hop[x, dest] = best_neighbor
-    return next_hop
+    return shortest_path_choices(graph, tie_break=tie_break, dist=dist)[0]
 
 
 class ShortestPathTableScheme(BaseRoutingScheme):
@@ -100,13 +124,5 @@ class ShortestPathTableScheme(BaseRoutingScheme):
         dist = distance_matrix(graph)
         if graph.n > 1 and (dist == UNREACHABLE).any():
             raise ValueError("routing tables require a connected graph")
-        next_hop = build_next_hop_matrix(graph, tie_break=self.tie_break, dist=dist)
-        tables: Dict[int, Dict[int, int]] = {}
-        for x in range(graph.n):
-            table: Dict[int, int] = {}
-            for dest in range(graph.n):
-                if dest == x:
-                    continue
-                table[dest] = graph.port(x, int(next_hop[x, dest]))
-            tables[x] = table
-        return TableRoutingFunction(graph, tables, validate=False)
+        _, ports = shortest_path_choices(graph, tie_break=self.tie_break, dist=dist)
+        return TableRoutingFunction(graph, ports, validate=False)

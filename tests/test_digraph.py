@@ -205,3 +205,51 @@ class TestCopyEqualityConversion:
     def test_arc_reversed_endpoints(self):
         arc = Arc(2, 5, 1)
         assert arc.reversed_endpoints() == (5, 2)
+
+
+class TestFingerprintCache:
+    @staticmethod
+    def _graph():
+        return PortLabeledGraph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+
+    def test_cached_between_mutations(self):
+        g = self._graph()
+        assert g.fingerprint() is g.fingerprint()
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda g: g.add_edge(3, 4),
+            lambda g: g.remove_edge(0, 2),
+            lambda g: g.add_vertex(),
+            lambda g: g.set_port_labeling(0, {1: 3, 2: 1, 3: 2}),
+            lambda g: g.relabel_ports(2, {1: 2, 2: 3, 3: 1}),
+            lambda g: g.sort_ports_by_neighbor(),
+        ],
+        ids=[
+            "add_edge",
+            "remove_edge",
+            "add_vertex",
+            "set_port_labeling",
+            "relabel_ports",
+            "sort_ports_by_neighbor",
+        ],
+    )
+    def test_every_mutator_changes_the_fingerprint(self, mutate):
+        g = self._graph()  # vertex 0's ports are not in neighbour order
+        before = g.fingerprint()
+        mutate(g)
+        after = g.fingerprint()
+        assert after != before
+        assert after == g.copy().fingerprint()  # recomputed, not stale
+
+    def test_copy_does_not_share_the_cache(self):
+        g = self._graph()
+        before = g.fingerprint()
+        twin = g.copy()
+        assert twin.fingerprint() == before
+        twin.add_edge(3, 4)
+        assert twin.fingerprint() != before
+        assert g.fingerprint() == before
+        g.remove_edge(0, 2)
+        assert twin.fingerprint() != g.fingerprint() != before

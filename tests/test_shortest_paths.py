@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from build_oracle import python_distance_matrix
 from repro.graphs import generators
 from repro.graphs.digraph import PortLabeledGraph
 from repro.graphs.shortest_paths import (
@@ -49,21 +50,21 @@ class TestBFS:
 
 
 class TestDistanceMatrix:
-    def test_backends_agree(self):
+    def test_matches_python_bfs_oracle(self):
         g = generators.random_connected_graph(30, extra_edge_prob=0.1, seed=5)
-        d_py = distance_matrix(g, backend="python")
-        d_sp = distance_matrix(g, backend="scipy")
-        assert np.array_equal(d_py, d_sp)
+        assert np.array_equal(distance_matrix(g), python_distance_matrix(g))
+
+    def test_disconnected_pairs_unreachable(self):
+        g = PortLabeledGraph(5, [(0, 1), (2, 3)])
+        d = distance_matrix(g)
+        assert np.array_equal(d, python_distance_matrix(g))
+        assert d[0, 2] == UNREACHABLE and d[4, 0] == UNREACHABLE and d[4, 4] == 0
 
     def test_symmetric_and_zero_diagonal(self):
         g = generators.petersen_graph()
         d = distance_matrix(g)
         assert np.array_equal(d, d.T)
         assert np.array_equal(np.diag(d), np.zeros(g.n, dtype=np.int64))
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            distance_matrix(generators.path_graph(3), backend="gpu")
 
     def test_empty_graph(self):
         g = PortLabeledGraph(0)
