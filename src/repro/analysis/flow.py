@@ -536,6 +536,16 @@ def _header_state_loads(
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
+def _same_partition(report: VerificationReport, verified: VerificationReport) -> bool:
+    """Whether ``report`` carries ``verified``'s arrays, or equal ones."""
+    if report.outcome is verified.outcome and report.hops is verified.hops:
+        return True
+    return bool(
+        np.array_equal(report.outcome, verified.outcome)
+        and np.array_equal(report.hops, verified.hops)
+    )
+
+
 def route_demand(
     program: RoutingProgram,
     demand: Union[DemandMatrix, np.ndarray],
@@ -545,10 +555,16 @@ def route_demand(
 ) -> FlowResult:
     """Push a demand matrix through a compiled program.
 
-    ``report`` accepts a precomputed :func:`verify_program` result so a
-    cell computes its hop-count array once and shares it between flow and
-    verification (the returned :attr:`FlowResult.lengths` is that array);
-    when omitted it is computed here (with ``alive`` forwarded).  Every
+    The pair partition is the program's one verification report, read
+    through :func:`verify_program` with ``alive`` forwarded — memoised on
+    the program, so a program the caller already verified (or a fault
+    scenario's masked view from
+    :attr:`repro.sim.faults.FaultSimulationResult.program`) is not
+    verified again, and the returned :attr:`FlowResult.lengths` is the
+    report's hop array.  ``report`` is an optional cross-check: a report
+    whose ``outcome``/``hops`` are neither that report's arrays nor equal
+    to them describes another program (or another ``alive`` mask) and
+    raises :class:`ValueError`.  Every
     next-hop and header-state program, masked or not, goes through the
     same layered subtree accumulator.  Generic programs carry no
     transition arrays to aggregate over and raise, as does a demand
@@ -582,10 +598,15 @@ def route_demand(
             f"demand total {dm.total:.17g} exceeds 2**53: float64 load sums "
             "would no longer be exact integers"
         )
-    if report is None:
-        report = verify_program(program, alive=alive)
-    elif report.n != n:
-        raise ValueError(f"report is over n={report.n}, program has n={n}")
+    verified = verify_program(program, alive=alive)
+    if report is not None and not _same_partition(report, verified):
+        raise ValueError(
+            f"report does not describe this program: its outcome/hops are "
+            f"not the program's verification (report n={report.n}, program "
+            f"n={n}); pass the report verify_program returned for this "
+            f"program and alive mask, or none"
+        )
+    report = verified
     delivered = report.outcome == VERDICT_DELIVERED
     routed = np.where(delivered, dm.demand, 0.0)
     if isinstance(program, NextHopProgram):
@@ -649,7 +670,8 @@ def flow_cell(
 
     The cell fetches its compiled program from the shared cache
     (:func:`~repro.analysis.runner.cached_program` semantics), verifies it
-    **once**, and routes every demand skew against that single hop-count
+    **once** (the first :func:`route_demand` fills the program's report
+    memo), and routes every demand skew against that single hop-count
     array — the lengths-sharing economy the sweep is built around.
     Generic programs decline the cell (nothing to aggregate over).
     """
@@ -660,12 +682,11 @@ def flow_cell(
         raise SchemeInapplicableError(
             "generic programs carry no transition arrays to aggregate demand over"
         )
-    report = verify_program(program)
     dist = cached_distance_matrix(graph, cache)
     rows: List[FlowCellResult] = []
     for name in models:
         dm = demand_matrix(name, graph.n, total=total, seed=demand_seed, dist=dist)
-        flow = route_demand(program, dm, report=report)
+        flow = route_demand(program, dm)
         rows.append(
             FlowCellResult(
                 scheme=label,

@@ -536,8 +536,9 @@ def _cached_program_with_rf(
     need the live function afterwards (memory profiles, generic-program
     interpretation) reuse that build instead of paying a second one.  The
     returned function is ``None`` on cache hits.  ``verify=True`` routes
-    the lookup through the cache's static integrity gate: a disk artifact
-    that fails verification is treated as a miss and recompiled over.
+    the lookup through the cache's integrity gate (content address plus
+    the strict structural audit): a disk artifact that fails it is
+    treated as a miss and recompiled over.
     """
     graph_fp = graph.fingerprint()
     scheme_fp = scheme_fingerprint(scheme)
@@ -716,8 +717,9 @@ def _verify_cell(
     """One statically-verified cell of a verify sweep (results never cached).
 
     The cell's program comes from the shared artifact cache *through the
-    integrity gate* (``verify=True`` on disk loads), then the full
-    classification is proven by :func:`repro.routing.verify.verify_program`
+    integrity gate* (``verify=True`` on disk loads: a structural audit),
+    then the full classification is proven — once, memoised on the
+    program — by :func:`repro.routing.verify.verify_program`
     — the sweep is the all-static counterpart of
     :meth:`ShardedRunner.program_sweep` and never routes a message.
     Generic programs are reported unverified instead of simulated.
@@ -1079,9 +1081,9 @@ class ShardedRunner:
 
         The all-static counterpart of :meth:`program_sweep`: each cell
         pulls its compiled program through the cache's ``verify=True``
-        integrity gate (corrupt disk artifacts degrade to recompiles) and
-        proves the full delivered/livelocked/misdelivered/dropped
-        partition with :func:`repro.routing.verify.verify_program` — the
+        structural integrity gate (corrupt disk artifacts degrade to
+        recompiles) and proves the full
+        delivered/livelocked/misdelivered/dropped partition with :func:`repro.routing.verify.verify_program` — the
         sweep executes no messages at all, so it is the cheap standing
         correctness matrix CI runs over the whole registry.  Returns
         ``(results, skipped, stats)`` in deterministic family-major order,
@@ -1191,7 +1193,8 @@ class ShardedRunner:
 
         One payload per (scheme, family) cell carrying all of that cell's
         demand models: the cell fetches its compiled program from the
-        shared cache once, statically verifies it once, and routes every
+        shared cache once, statically verifies it once (the report is
+        memoised on the program), and routes every
         demand matrix against that single hop-count array
         (:func:`repro.analysis.flow.flow_cell`) — a warm sweep reruns the
         whole demand grid with :attr:`ShardStats.compile_hit_rate` = 1.0

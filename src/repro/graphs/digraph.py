@@ -281,12 +281,15 @@ class PortLabeledGraph:
         Built from :meth:`adjacency_arrays` without any Python-level edge
         loop and invalidated on mutation; used by the scipy all-pairs
         distance path (:func:`~repro.graphs.shortest_paths.distance_rows`).
+        The entries are float64, the dtype scipy's csgraph routines
+        validate their input to, so a distance call uses the cached matrix
+        as is instead of converting a copy of it every time.
         """
         if self._csr_cache is None:
             from scipy.sparse import csr_matrix
 
             indptr, indices = self.adjacency_arrays()
-            data = np.ones(indices.shape[0], dtype=np.int8)
+            data = np.ones(indices.shape[0], dtype=np.float64)
             self._csr_cache = csr_matrix(
                 (data, indices.astype(np.int32, copy=True), indptr.astype(np.int32, copy=True)),
                 shape=(self._n, self._n),

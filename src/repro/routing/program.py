@@ -297,9 +297,31 @@ class RoutingProgram:
     Concrete kinds expose ``kind`` (one of :data:`KIND_NEXT_HOP`,
     :data:`KIND_HEADER_STATE`, :data:`KIND_GENERIC`), the vertex count
     ``n``, stable binary serialization and a content fingerprint.
+
+    A program is an immutable value: its transition arrays are made
+    read-only at construction (and again after unpickling), so the
+    verification report :func:`repro.routing.verify.verify_program`
+    memoises for the instance stays true for the instance's lifetime.
+    The memo lives in the verifier, keyed weakly by instance: it is never
+    pickled, never encoded by :meth:`to_bytes` and never enters the
+    :meth:`fingerprint`; ``dataclasses.replace``, a copy and a pickle
+    round-trip are new instances and start without it.
     """
 
     kind: str = "?"
+
+    def __post_init__(self) -> None:
+        self._freeze()
+
+    def _freeze(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # Unpickled arrays come back writeable: freeze them again.
+        self.__dict__.update(state)
+        self._freeze()
 
     @property
     def n(self) -> int:
@@ -628,7 +650,7 @@ def load_program(
     bytes flipped *within* valid framing fail the load instead of
     masquerading as the addressed program (the integrity half of
     :meth:`repro.store.ProgramStore.get`'s ``verify=True`` gate; the
-    static-soundness half is :func:`repro.routing.verify.verify_program`).
+    structural half is :func:`repro.routing.verify.verify_structure`).
     """
     with open(path, "rb") as handle:
         try:

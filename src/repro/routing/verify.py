@@ -58,9 +58,10 @@ True
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -192,6 +193,9 @@ class VerificationReport:
         Exact worst and average stretch of the delivered off-diagonal
         pairs, populated when a distance matrix was supplied to
         :func:`verify_program` (``None`` otherwise).
+
+    ``outcome`` and ``hops`` are read-only: a report is memoised on its
+    program and shared by every consumer, so none may write into it.
     """
 
     kind: str
@@ -203,6 +207,10 @@ class VerificationReport:
     issues: Tuple[str, ...] = ()
     max_stretch: Optional[Fraction] = None
     mean_stretch: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        self.outcome.setflags(write=False)
+        self.hops.setflags(write=False)
 
     # ------------------------------------------------------------------
     @property
@@ -421,7 +429,7 @@ def _check_header_state_structure(
     return issues, stops
 
 
-def verify_structure(program: RoutingProgram) -> List[str]:
+def verify_structure(program: RoutingProgram, *, strict: bool = False) -> List[str]:
     """Well-formedness analysis of a compiled program's arrays.
 
     Raises :class:`ProgramVerificationError` on structural corruption (wrong
@@ -430,9 +438,23 @@ def verify_structure(program: RoutingProgram) -> List[str]:
     Returns the list of *semantic* issues: conditions with a well-defined
     outcome that no healthy compile produces (non-absorbing
     destinations, a stale ``hops_to_deliver``, a non-``-1`` initial
-    diagonal).
+    diagonal).  ``strict=True`` raises on those too, with the message
+    ``verify_program(..., strict=True)`` gives — the store's integrity
+    gate (:meth:`repro.store.ProgramStore.get`), which needs the audit
+    but not the pair partition.
     """
-    return _structure(program)[0]
+    issues = _structure(program)[0]
+    if strict:
+        _raise_strict(issues)
+    return issues
+
+
+def _raise_strict(issues: Sequence[str]) -> None:
+    if issues:
+        raise ProgramVerificationError(
+            f"program failed strict verification with {len(issues)} "
+            f"issue(s): " + "; ".join(issues)
+        )
 
 
 def _structure(program: RoutingProgram) -> Tuple[List[str], Optional[_Resolution]]:
@@ -579,6 +601,69 @@ def _verify_header_state(
 # ----------------------------------------------------------------------
 # entry point
 # ----------------------------------------------------------------------
+#: The report memo: one ``(alive key, report)`` entry per program instance,
+#: held weakly so it lives exactly as long as the program.  Programs hash
+#: by identity (``eq=False`` dataclasses), so ``replace``, copies and
+#: unpickled programs are new keys and start without a report.
+_MemoEntry = Tuple[Optional[np.ndarray], VerificationReport]
+_MEMO: weakref.WeakKeyDictionary[RoutingProgram, _MemoEntry] = weakref.WeakKeyDictionary()
+
+
+def _cached_report(
+    program: RoutingProgram, alive: Optional[np.ndarray] = None
+) -> Optional[VerificationReport]:
+    """The report :func:`verify_program` memoised for ``program``, if any.
+
+    A program has one memo entry, keyed by the ``alive`` mask it was
+    verified under (``None`` and an all-``True`` mask are one key: their
+    reports are byte-identical).  Returns ``None`` when there is no entry
+    or it holds another mask's report; never verifies.
+    """
+    memo = _MEMO.get(program)
+    if memo is None:
+        return None
+    key, report = memo
+    if alive is None:
+        return report if key is None else None
+    alive = np.asarray(alive, dtype=bool)
+    if alive.shape != (program.n,):
+        return None
+    if key is None:
+        return report if alive.all() else None
+    return report if np.array_equal(key, alive) else None
+
+
+def _prove(
+    program: RoutingProgram, alive: Optional[np.ndarray], strict: bool
+) -> VerificationReport:
+    """One full verification: structure audit plus the pair partition."""
+    issues, stops = _structure(program)
+    if strict:
+        _raise_strict(issues)
+    if alive is not None:
+        alive = np.asarray(alive, dtype=bool)
+        if alive.shape != (program.n,):
+            raise ProgramVerificationError(
+                f"alive mask must have shape ({program.n},), got {alive.shape}"
+            )
+    if isinstance(program, NextHopProgram):
+        outcome, hops, masked = _verify_next_hop(program, alive)
+        num_states = program.n * program.n
+    else:
+        assert isinstance(program, HeaderStateProgram) and stops is not None
+        outcome, hops, masked = _verify_header_state(program, alive, stops)
+        num_states = program.num_states
+    return VerificationReport(
+        kind=program.kind,
+        n=program.n,
+        num_states=num_states,
+        masked=masked,
+        outcome=outcome,
+        hops=hops,
+        issues=tuple(issues),
+    )
+
+
 def verify_program(
     program: RoutingProgram,
     *,
@@ -599,35 +684,26 @@ def verify_program(
     with ``strict=True`` the semantic issues of :func:`verify_structure`
     raise too instead of being returned on the report.  Generic programs
     are not statically verifiable and always raise.
+
+    Verification happens once per program instance and ``alive`` mask: the
+    report is memoised for the (immutable) program instance, and a
+    repeated call — from any consumer — returns that same report.  The
+    memo holds one mask per program: a call under another mask proves
+    again and replaces it.  ``dist`` is never part of the memo: stretch
+    is computed on top of the cached report, and the cached report itself
+    stays stretch-free.  ``strict=True`` raises on a memo hit exactly as
+    it does on a miss.
     """
-    issues, stops = _structure(program)
-    if strict and issues:
-        raise ProgramVerificationError(
-            f"program failed strict verification with {len(issues)} "
-            f"issue(s): " + "; ".join(issues)
-        )
-    if alive is not None:
-        alive = np.asarray(alive, dtype=bool)
-        if alive.shape != (program.n,):
-            raise ProgramVerificationError(
-                f"alive mask must have shape ({program.n},), got {alive.shape}"
-            )
-    if isinstance(program, NextHopProgram):
-        outcome, hops, masked = _verify_next_hop(program, alive)
-        num_states = program.n * program.n
-    else:
-        assert isinstance(program, HeaderStateProgram) and stops is not None
-        outcome, hops, masked = _verify_header_state(program, alive, stops)
-        num_states = program.num_states
-    report = VerificationReport(
-        kind=program.kind,
-        n=program.n,
-        num_states=num_states,
-        masked=masked,
-        outcome=outcome,
-        hops=hops,
-        issues=tuple(issues),
-    )
+    report = _cached_report(program, alive)
+    if report is None:
+        report = _prove(program, alive, strict)
+        key: Optional[np.ndarray] = None
+        if alive is not None and not np.all(alive):
+            key = np.array(alive, dtype=bool)
+            key.setflags(write=False)
+        _MEMO[program] = (key, report)
+    elif strict:
+        _raise_strict(report.issues)
     if dist is not None:
         max_stretch, mean_stretch = report.stretch(np.asarray(dist))
         report = replace(

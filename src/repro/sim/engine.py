@@ -13,8 +13,10 @@ ordered pairs at once** from the compiled-program IR of
   ``"header-compiled"``) are closed functional graphs: their transition
   arrays fix every pair's fate.  Both execute through **one executor**, a
   view over :func:`repro.routing.verify.verify_program`, which proves each
-  pair's verdict and exact hop count by pointer doubling.  No message is
-  stepped, no hop budget is guessed, and livelocks are proven.
+  pair's verdict and exact hop count by pointer doubling and memoises the
+  report on the program, so executing a verified program verifies
+  nothing again.  No message is stepped, no hop budget is guessed, and
+  livelocks are proven.
 * :class:`~repro.routing.program.GenericProgram` (mode ``"generic"``) is
   the explicit opt-out, executed by the one per-message interpreter: every
   in-flight message advances one hop per synchronous step, evaluating
@@ -500,8 +502,9 @@ def execute_masked_program(
     :data:`~repro.routing.program.DROPPED` sentinels where
     :func:`repro.sim.faults.apply_faults` masked a transition — an unmasked
     program works too and simply never drops anything.  Every pair's fate
-    and hop count come from one :func:`~repro.routing.verify.verify_program`
-    call.  Generic programs have no transition arrays to mask;
+    and hop count come from the program's one verification report
+    (:func:`~repro.routing.verify.verify_program`, memoised per ``alive``
+    mask on the program).  Generic programs have no transition arrays to mask;
     fault-inject them through the interpreter
     (:func:`repro.sim.faults.simulate_with_faults` with the live routing
     function).
@@ -540,9 +543,11 @@ def execute_program(
 
     The artifact is self-contained for the two compiled kinds (a program
     deserialized from bytes in another process executes identically):
-    every pair's fate and exact hop count come from one
-    :func:`~repro.routing.verify.verify_program` call, so lengths and
-    livelocks are exact with no hop budget.  A
+    every pair's fate and exact hop count come from the program's one
+    verification report (:func:`~repro.routing.verify.verify_program`,
+    memoised on the program — a program the caller already verified is
+    not verified again), so lengths and livelocks are exact with no hop
+    budget.  A
     :class:`~repro.routing.program.GenericProgram` is the explicit opt-out
     and requires the live routing function ``rf`` to interpret.  When
     ``rf`` accompanies a compiled program, their vertex counts must agree —
@@ -564,7 +569,10 @@ def execute_program(
     delivered = report.outcome == VERDICT_DELIVERED
     np.fill_diagonal(delivered, True)
     lengths = report.hops
-    lengths[~delivered] = NO_ROUTE
+    if not delivered.all():
+        # The report is shared and read-only: lost pairs get their -1 on a
+        # copy, and only when there is a lost pair at all.
+        lengths = np.where(delivered, lengths, NO_ROUTE)
     return SimulationResult(
         lengths,
         delivered,

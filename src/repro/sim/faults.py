@@ -325,7 +325,8 @@ def surviving_distance_matrix(
 
     adj = csr_matrix(
         (
-            np.ones(masked_indices.shape[0], dtype=np.int8),
+            # float64 entries: the dtype csgraph validates to (no copy).
+            np.ones(masked_indices.shape[0], dtype=np.float64),
             # scipy's CSR graph routines want int32 index arrays.
             masked_indices.astype(np.int32, copy=True),  # repro-lint: allow-dtype
             masked_indptr.astype(np.int32, copy=True),  # repro-lint: allow-dtype
@@ -352,8 +353,9 @@ def apply_faults(
     :data:`~repro.routing.program.DROPPED` — built through the program view
     API, **never** by re-running the scheme.  A transition is blocked when
     the hop it takes crosses a failed edge or touches a failed node.  The
-    empty fault set returns a byte-identical program (pinned by the k = 0
-    property tests).  Generic programs carry no transition arrays and raise
+    empty fault set returns ``program`` itself — programs are immutable,
+    so the k = 0 view needs no copy and reuses the program's memoised
+    verification report.  Generic programs carry no transition arrays and raise
     :class:`ValueError`; interpret them via :func:`simulate_with_faults`
     with the live routing function instead.
     """
@@ -364,9 +366,9 @@ def apply_faults(
             f"program was compiled for n={program.n} but the fault scenario "
             f"lives on an n={n} graph"
         )
+    if faults.is_empty and isinstance(program, (NextHopProgram, HeaderStateProgram)):
+        return program
     if isinstance(program, NextHopProgram):
-        if faults.is_empty:
-            return program.with_next_node(program.next_node)
         next_node = program.next_node.copy()
         alive = faults.alive_mask(n)
         blocked = np.zeros((n, n), dtype=bool)
@@ -382,13 +384,6 @@ def apply_faults(
         next_node[blocked] = DROPPED
         return program.with_next_node(next_node)
     if isinstance(program, HeaderStateProgram):
-        if faults.is_empty:
-            # Identity view: the transition relation is untouched, so the
-            # existing livelock analysis is passed through verbatim rather
-            # than re-resolved (the k = 0 no-op must be free).
-            return program.with_transitions(
-                succ=program.succ, hops_to_deliver=program.hops_to_deliver
-            )
         alive = faults.alive_mask(n)
         hop_tail = program.node_of
         hop_head = program.node_of[program.succ]
@@ -442,6 +437,13 @@ class FaultSimulationResult:
     mode:
         ``"compiled-masked"``, ``"header-compiled-masked"`` or
         ``"generic-masked"`` (the reference interpreter).
+    program:
+        The masked view (:func:`apply_faults`) that was verified:
+        ``outcome`` and ``lengths`` are the arrays of the report memoised
+        on it, so another consumer of the same scenario
+        (:func:`repro.analysis.flow.route_demand` with ``alive``) reads
+        that report instead of masking and verifying again.  ``None`` on
+        the reference interpreter path.
     """
 
     outcome: np.ndarray
@@ -451,6 +453,7 @@ class FaultSimulationResult:
     dist: np.ndarray
     steps: int
     mode: str
+    program: Optional[RoutingProgram] = None
 
     @property
     def n(self) -> int:
@@ -607,10 +610,12 @@ def simulate_with_faults(
             program = rf.compile_program()
         except HeaderStateExplosionError:
             pass
+    masked: Optional[RoutingProgram] = None
     if method == "auto" and program is not None and not isinstance(program, GenericProgram):
         _refuse_hop_budget(max_hops)
         # The verdict codes are the PAIR_* codes: the report is the result.
-        report = verify_program(apply_faults(program, graph, faults), alive=alive)
+        masked = apply_faults(program, graph, faults)
+        report = verify_program(masked, alive=alive)
         outcome, lengths = report.outcome, report.hops
         steps, mode = _lockstep_steps(report), _MASKED_MODES[report.kind]
     else:
@@ -633,4 +638,5 @@ def simulate_with_faults(
         dist=dist,
         steps=steps,
         mode=mode,
+        program=masked,
     )

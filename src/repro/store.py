@@ -30,11 +30,16 @@ promotion of that cache into a real registry:
   never an exception, never a silent global miss.
 
 * **Integrity is verifiable.**  ``get(key, verify=True)`` re-hashes the
-  mapped object against its content address and runs the full static
-  verifier (:func:`repro.routing.verify.verify_program`, strict) over the
-  decoded program; an object corrupted on disk degrades to a miss, is
-  deleted (the next ``put`` rewrites correct bytes at the same address), and
-  is counted in :attr:`ProgramStore.degraded`.
+  mapped object against its content address and runs the strict
+  structural audit (:func:`repro.routing.verify.verify_structure` with
+  ``strict=True``: shapes, dtypes, id ranges and the semantic issues no
+  healthy compile produces) over the decoded program; an object corrupted
+  on disk degrades to a miss, is deleted (the next ``put`` rewrites
+  correct bytes at the same address), and is counted in
+  :attr:`ProgramStore.degraded`.  The gate does not compute the pair
+  partition: that is :func:`repro.routing.verify.verify_program`'s job,
+  done once per program by whichever consumer first needs it and
+  memoised on the program.
 
 * **Eviction is explicit, size-bounded, and LRU.**  :meth:`ProgramStore.gc`
   first removes orphaned objects (on disk but referenced by no manifest
@@ -70,7 +75,7 @@ from repro.routing.program import (
     load_program,
     save_program,
 )
-from repro.routing.verify import ProgramVerificationError, verify_program
+from repro.routing.verify import ProgramVerificationError, verify_structure
 
 __all__ = [
     "GcStats",
@@ -293,11 +298,16 @@ class ProgramStore:
         Programs come back as zero-copy mmap views
         (:func:`~repro.routing.program.load_program`); verdicts as the
         runner's ``("inapplicable", reason)`` tuples.  ``verify=True``
-        checks the object's bytes against its content address and
-        strict-verifies the decoded program; corruption at either level
-        degrades to a miss (warned and counted in :attr:`degraded`) and
-        deletes the bad object so the next store rewrites it.  Hits touch
-        the object's mtime — the recency signal :meth:`gc` evicts by.
+        checks the object's bytes against its content address and runs
+        the strict structural audit
+        (:func:`~repro.routing.verify.verify_structure`, ``strict=True``)
+        on the decoded program; corruption at either level degrades to a
+        miss (warned and counted in :attr:`degraded`) and deletes the bad
+        object so the next store rewrites it.  The gate proves the arrays
+        well-formed, not every pair's fate: the returned program's first
+        :func:`~repro.routing.verify.verify_program` call does that, once.
+        Hits touch the object's mtime — the recency signal :meth:`gc`
+        evicts by.
         """
         record = self.lookup(key)
         if record is None:
@@ -319,7 +329,7 @@ class ProgramStore:
             return False, None
         if verify and not isinstance(program, GenericProgram):
             try:
-                verify_program(program, strict=True)
+                verify_structure(program, strict=True)
             except ProgramVerificationError as exc:
                 self._degrade(path, exc)
                 path.unlink(missing_ok=True)
@@ -428,7 +438,9 @@ class ProgramStore:
         }
 
     def verify_objects(self) -> Iterator[Tuple[StoreRecord, bool]]:
-        """Strict-verify every live program record; yields ``(record, ok)``."""
+        """Integrity-check every live program record (content address plus
+        the strict structural audit of ``get(verify=True)``); yields
+        ``(record, ok)``."""
         for record in self.records():
             if record.object_id is None:
                 continue
